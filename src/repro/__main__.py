@@ -7,7 +7,8 @@ Convenience launcher for a repository checkout:
 * ``python -m repro run all`` -- regenerate everything;
 * ``python -m repro metrics`` -- run an instrumented measurement and dump
   its ``repro.obs`` registry (``--json`` for the raw blob);
-* ``python -m repro metrics fig07`` -- show a saved ``BENCH_fig07.json``;
+* ``python -m repro metrics fig07`` -- show a saved
+  ``BENCH_fig07_opt_latency.json``;
 * ``python -m repro sweep`` -- measure a configuration grid through the
   parallel sweep executor and its on-disk result cache (``repro.exec``);
 * ``python -m repro kernelbench`` -- micro-benchmark the simulation
@@ -186,7 +187,7 @@ def cmd_sweep(record_size: int, max_client_threads: int,
         "mode": runner.last_mode,
         "tasks": len(tasks),
         "cache_hits": registry.counter("exec.cache_hits").value,
-        "wall_seconds": registry.gauge("exec.wall_seconds").value,
+        "wall_seconds": runner.last_wall_seconds,
     }
     if as_json:
         print(json.dumps({"schema": "repro.exec/v1", "grid": rows,

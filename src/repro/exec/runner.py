@@ -130,8 +130,9 @@ class SweepRunner:
         Optional parent :class:`MetricsRegistry`.  Per-task snapshots
         are merged into it in task order, and the runner publishes its
         own counters under ``exec.*`` (``tasks``, ``cache_hits``,
-        ``cache_misses``) plus ``exec.workers`` / ``exec.wall_seconds``
-        gauges.
+        ``cache_misses``).  Host wall time stays out of the registry --
+        benchmark blobs persist it, and they must repeat byte for byte
+        -- and is kept on :attr:`last_wall_seconds` instead.
     """
 
     def __init__(self, *, max_workers: Optional[int] = None,
@@ -145,11 +146,14 @@ class SweepRunner:
         #: Mode of the last run() -- "parallel" or "serial"; tests and
         #: the CLI report it.
         self.last_mode: Optional[str] = None
+        #: Host wall-clock seconds the last run() took (cache lookups
+        #: included); the sweep CLI reports it.
+        self.last_wall_seconds: Optional[float] = None
 
     def run(self, tasks: Sequence[SweepTask]) -> List[MeasurementResult]:
         """Execute ``tasks``; results are returned in task order."""
         tasks = list(tasks)
-        started = time.perf_counter()  # repro-lint: disable=D001 -- wall time of the executor itself; feeds exec.wall_seconds, never sim state
+        started = time.perf_counter()  # repro-lint: disable=D001 -- wall time of the executor itself; feeds last_wall_seconds, never sim state
         outcomes: List[Optional[Tuple[MeasurementResult, Dict]]] = (
             [None] * len(tasks))
         keys: List[Optional[str]] = [None] * len(tasks)
@@ -183,9 +187,7 @@ class SweepRunner:
             self.metrics.counter("exec.tasks").inc(len(tasks))
             self.metrics.counter("exec.cache_hits").inc(cache_hits)
             self.metrics.counter("exec.cache_misses").inc(len(pending))
-            self.metrics.gauge("exec.workers").set(self._worker_budget())
-            self.metrics.gauge("exec.wall_seconds").set(
-                time.perf_counter() - started)  # repro-lint: disable=D001 -- executor wall-clock gauge, excluded from digests
+        self.last_wall_seconds = time.perf_counter() - started  # repro-lint: disable=D001 -- executor wall time, kept out of the metrics registry
         return [outcome[0] for outcome in outcomes]
 
     def _worker_budget(self) -> int:
