@@ -346,7 +346,7 @@ def _workload_measure(seed: int) -> None:
     from repro.obs.metrics import MetricsRegistry
 
     measure_config(RdmaConfig(1, 0, 1, 4), 64, seed=seed,
-                   batches_per_connection=20, warmup_batches=5,
+                   batches_per_connection=30, warmup_batches=5,
                    metrics=MetricsRegistry())
 
 

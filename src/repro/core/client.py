@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster.allocator import AllocationError
@@ -23,7 +24,7 @@ from repro.core.config import Slo
 from repro.core.engine import CacheDataPath
 from repro.core.manager import CacheAllocation, CacheManager
 from repro.core.migration import MigrationPolicy, migrate_regions
-from repro.core.protocol import EngineOp
+from repro.core.protocol import EngineOp, OpResult
 from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
 from repro.hardware.profiles import TestbedProfile
@@ -340,14 +341,12 @@ class RedyCache:
         if callback is not None:
             done._add_callback(lambda event: callback(event.value))
         policy = self.retry_policy
-        kind = "d" if dependent else ("r" if is_read else "w")
         if policy.max_attempts == 1 and policy.attempt_timeout_s is None:
             # Fail-fast default: no wrapper process on the hot path.
-            self.env.process(
-                self._io(is_read, addr, size, data, done,
-                         dependent=dependent, tenant=tenant),
-                name=f"redy-io-{kind}@{addr}")
+            self._io(is_read, addr, size, data, done, dependent=dependent,
+                     tenant=tenant)
         else:
+            kind = "d" if dependent else ("r" if is_read else "w")
             self.env.process(
                 self._io_with_retry(is_read, addr, size, data, done,
                                     dependent=dependent, tenant=tenant),
@@ -378,11 +377,8 @@ class RedyCache:
                 result = CacheIoResult(ok=False, error="cache was deleted")
                 break
             inner = self.env.event()
-            kind = "d" if dependent else ("r" if is_read else "w")
-            self.env.process(  # repro-lint: disable=L006 -- completion is observed through `inner`, yielded right below
-                self._io(is_read, addr, size, data, inner,
-                         dependent=dependent, tenant=tenant),
-                name=f"redy-io-{kind}@{addr}#{attempt}")
+            self._io(is_read, addr, size, data, inner, dependent=dependent,
+                     tenant=tenant)
             if policy.attempt_timeout_s is None:
                 result = yield inner
             else:
@@ -405,54 +401,13 @@ class RedyCache:
 
     def _io(self, is_read: bool, addr: int, size: int,
             data: Optional[bytes], done: Event, dependent: bool = False,
-            tenant: Optional[str] = None):
+            tenant: Optional[str] = None) -> None:
+        """Start one I/O attempt; ``done`` fires with its result."""
         if dependent:
-            yield from self._dependent_io(addr, size, done)
-            return
-        start = self.env.now
-        try:
-            fragments = self.table.translate(addr, size)
-        except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
-        ops: list[tuple] = []
-        for fragment in fragments:
-            gate = (self.table.read_gate(fragment.region_index) if is_read
-                    else self.table.write_gate(fragment.region_index))
-            if gate is not None:
-                yield gate  # §6.2: paused until the region migrates
-            # Re-resolve the mapping: it may have flipped while we waited.
-            mapping = self.table.region(fragment.region_index)
-            payload = None
-            if data is not None:
-                payload = data[fragment.buffer_offset:
-                               fragment.buffer_offset + fragment.length]
-            op = EngineOp(
-                is_read=is_read, size=fragment.length, token=mapping.token,
-                offset=fragment.offset, data=payload, tenant=tenant,
-                completion=self.env.event())
-            yield self.env.timeout(self.path.submission_overhead())
-            yield self.path.submit(op)
-            ops.append((fragment, op))
-        results = yield self.env.all_of([op.completion for _f, op in ops])
-
-        failures = [r for r in results if not r.ok]
-        if failures:
-            done.succeed(CacheIoResult(
-                ok=False, error=failures[0].error,
-                latency=self.env.now - start))
-            return
-        payload = None
-        if is_read:
-            buffer = bytearray(size)
-            for (fragment, _op), result in zip(ops, results):
-                if result.data is not None:
-                    buffer[fragment.buffer_offset:
-                           fragment.buffer_offset + fragment.length] = \
-                        result.data
-            payload = bytes(buffer)
-        done.succeed(CacheIoResult(ok=True, data=payload,
-                                   latency=self.env.now - start))
+            self.env.process(self._dependent_io(addr, size, done),
+                             name=f"redy-io-d@{addr}")
+        else:
+            _Transfer(self, is_read, addr, size, data, done, tenant)
 
     def _dependent_io(self, pointer_addr: int, size: int, done: Event):
         """One pointer-chasing GET: translate the 8-byte pointer word,
@@ -485,7 +440,7 @@ class RedyCache:
             lookup_offset=fragment.offset, verify=True,
             completion=self.env.event())
         yield self.env.timeout(self.path.submission_overhead())
-        yield self.path.submit(op)
+        self.path.submit(op)
         result = yield op.completion
         if not result.ok:
             done.succeed(CacheIoResult(
@@ -521,7 +476,7 @@ class RedyCache:
             offset=fragment.offset, data=swap, cas=True, compare=compare,
             completion=self.env.event())
         yield self.env.timeout(self.path.submission_overhead())
-        yield self.path.submit(op)
+        self.path.submit(op)
         result = yield op.completion
         done.succeed(CacheIoResult(
             ok=result.ok, data=result.data, error=result.error,
@@ -835,3 +790,99 @@ class RedyCache:
         self.allocation.regions_per_server.pop(server_name, None)
         self._attached.discard(server_name)
         done.succeed(True)
+
+
+class _Transfer:
+    """One plain cache read or write, as a callback chain.
+
+    Fragments are submitted in address order -- each waits out its
+    region's migration gate (§6.2), pays the app-thread handoff, then
+    enters the data path -- and a counter joins their completions.
+    """
+
+    __slots__ = ("cache", "is_read", "size", "data", "done", "tenant",
+                 "start", "fragments", "ops", "results", "remaining")
+
+    def __init__(self, cache: RedyCache, is_read: bool, addr: int,
+                 size: int, data: Optional[bytes], done: Event,
+                 tenant: Optional[str]):
+        self.cache = cache
+        self.is_read = is_read
+        self.size = size
+        self.data = data
+        self.done = done
+        self.tenant = tenant
+        self.start = cache.env.now
+        self.ops: list[EngineOp] = []
+        self.results: list[Optional[OpResult]] = []
+        try:
+            self.fragments = cache.table.translate(addr, size)
+        except AddressError as exc:
+            done.succeed(CacheIoResult(ok=False, error=str(exc)))
+            return
+        self.remaining = len(self.fragments)
+        if self.remaining:
+            self._next()
+        else:
+            self._finish()
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        index = len(self.ops)
+        if index == len(self.fragments):
+            return
+        table = self.cache.table
+        region_index = self.fragments[index].region_index
+        gate = (table.read_gate(region_index) if self.is_read
+                else table.write_gate(region_index))
+        if gate is not None:
+            gate._add_callback(self._issue)  # paused until it migrates
+        else:
+            self._issue(None)
+
+    def _issue(self, _event: Optional[Event]) -> None:
+        cache = self.cache
+        fragment = self.fragments[len(self.ops)]
+        # Re-resolve the mapping: it may have flipped while we waited.
+        mapping = cache.table.region(fragment.region_index)
+        payload = None
+        if self.data is not None:
+            payload = self.data[fragment.buffer_offset:
+                                fragment.buffer_offset + fragment.length]
+        op = EngineOp(
+            is_read=self.is_read, size=fragment.length, token=mapping.token,
+            offset=fragment.offset, data=payload, tenant=self.tenant,
+            on_done=partial(self._settled, len(self.ops)))
+        self.ops.append(op)
+        self.results.append(None)
+        cache.env.timeout(cache.path.submission_overhead()).callbacks = [
+            self._enqueue]
+
+    def _enqueue(self, _event: Event) -> None:
+        self.cache.path.submit(self.ops[-1])
+        self._next()
+
+    def _settled(self, index: int, result: OpResult) -> None:
+        self.results[index] = result
+        self.remaining -= 1
+        if not self.remaining:
+            self._finish()
+
+    def _finish(self) -> None:
+        latency = self.cache.env.now - self.start
+        results = self.results
+        for result in results:
+            if not result.ok:
+                self.done.succeed(CacheIoResult(
+                    ok=False, error=result.error, latency=latency))
+                return
+        payload = None
+        if self.is_read:
+            buffer = bytearray(self.size)
+            for fragment, result in zip(self.fragments, results):
+                if result.data is not None:
+                    buffer[fragment.buffer_offset:
+                           fragment.buffer_offset + fragment.length] = \
+                        result.data
+            payload = bytes(buffer)
+        self.done.succeed(CacheIoResult(ok=True, data=payload,
+                                        latency=latency))

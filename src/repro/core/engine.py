@@ -13,7 +13,10 @@ client thread runs one RDMA connection per attached cache server, with:
 
 All CPU charges go through one per-thread ``Resource`` so that the
 issuer and completion sides cannot overlap in time -- they are the same
-hardware thread.
+hardware thread.  The issuer and completion loops (which model
+batching) are processes; a one-sided op's completion side is a callback
+chain run from its verb's landing, one kernel entry per timed stage,
+that takes an uncontended CPU slot without a kernel round trip.
 """
 
 from __future__ import annotations
@@ -269,12 +272,12 @@ class CacheDataPath:
                 - self._jitter_sigma**2 / 2)
         return cost
 
-    def submit(self, op: EngineOp, thread_index: Optional[int] = None) -> Event:
-        """Queue one op; returns an event that fires when the op is in the
-        batch ring (backpressure point).  The op's own ``completion``
-        event fires with its :class:`OpResult` when the I/O finishes.
+    def submit(self, op: EngineOp, thread_index: Optional[int] = None) -> None:
+        """Queue one op on a client thread.  The batch ring is unbounded,
+        so the op is accepted at once; its ``completion`` event fires
+        with its :class:`OpResult` when the I/O finishes.
         """
-        if op.completion is None:
+        if op.completion is None and op.on_done is None:
             op.completion = self.env.event()
         op.enqueued_at = self.env.now
         if thread_index is None:
@@ -296,7 +299,7 @@ class CacheDataPath:
                 self._dependent_read(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
                      f"t{thread.index}:dependent-read")
-            return self.env.timeout(0)
+            return
         if op.cas:
             # Standalone CAS: like dependent reads, atomics never enter
             # the message-ring batching protocol -- the NIC executes the
@@ -307,8 +310,8 @@ class CacheDataPath:
                 self._cas_op(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
                      f"t{thread.index}:cas")
-            return self.env.timeout(0)
-        return connection.batch_ring.put(op)
+            return
+        connection.batch_ring.try_put(op)
 
     def _route(self, thread: _ClientThread, op: EngineOp) -> _Connection:
         if op.token is not None:
@@ -336,6 +339,7 @@ class CacheDataPath:
         ring_get = connection.batch_ring.get
         ring_try_get = connection.batch_ring.try_get
         credits_get = connection.credits.get
+        credits_try_get = connection.credits.try_get
         cpu_acquire = thread.cpu.acquire
         cpu_release = thread.cpu.release
         batch_size = config.batch_size
@@ -360,10 +364,15 @@ class CacheDataPath:
             if batch_weight is not None:
                 batch_weight.observe(weight)
             credit_wait_started = env.now
-            yield credits_get()
+            if not credits_try_get()[0]:
+                yield credits_get()
             if credit_wait is not None:
                 credit_wait.observe(env.now - credit_wait_started)
 
+            # The CPU grant stays a kernel round trip: the noise draw
+            # below must follow whatever else this instant settles
+            # first (a credit returned together with a completion wakes
+            # this loop ahead of the op's submitter).
             yield cpu_acquire()
             work = base_work + weight * per_op
             if not numa_affinity:
@@ -406,32 +415,9 @@ class CacheDataPath:
     def _post_one_sided(self, thread: _ClientThread, connection: _Connection,
                         op: EngineOp) -> None:
         verb = RdmaOp.READ if op.is_read else RdmaOp.WRITE
-        wr = WorkRequest(verb, op.token, op.offset, op.size, data=op.data)
-        completion_event = connection.qp.post(wr)
-        self.env.process(
-            self._one_sided_completion(thread, connection, op,
-                                       completion_event),
-            name="redy-client:one-sided-completion")
-
-    def _one_sided_completion(self, thread: _ClientThread,
-                              connection: _Connection, op: EngineOp,
-                              completion_event: Event):
-        completion = yield completion_event
-        yield thread.cpu.acquire()
-        try:
-            cpu = self.profile.cpu
-            work = self.profile.nic.completion_poll + cpu.callback
-            yield self.env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-        if not self.config.numa_affinity:
-            yield self.env.timeout(cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
-                - self._jitter_sigma**2 / 2))
-        connection.credits.try_put(object())
-        self._finish(op, OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=self.env.now - op.enqueued_at))
+        connection.qp.post_then(
+            WorkRequest(verb, op.token, op.offset, op.size, data=op.data),
+            _OneSidedReap(self, thread, connection, op).reap)
 
     def _dependent_read(self, thread: _ClientThread, connection: _Connection,
                         op: EngineOp):
@@ -666,10 +652,61 @@ class CacheDataPath:
             # The family caches its children, so steady-state accounting
             # is one dict hit plus an attribute add per op.
             self._tenant_ops_family.labels(tenant=op.tenant).inc(op.weight)
-        if op.completion is not None and not op.completion.triggered:
+        if op.on_done is not None:
+            on_done, op.on_done = op.on_done, None
+            on_done(result)
+        elif op.completion is not None and not op.completion.triggered:
             op.completion.succeed(result)
 
     @property
     def completed_weight(self) -> int:
         """Total logical requests completed (weights summed)."""
         return self._completed_weight
+
+
+class _OneSidedReap:
+    """Completion side of one one-sided op, as a callback chain: poll
+    the CQ and run the callback on the client thread's CPU, return the
+    credit, settle the op."""
+
+    __slots__ = ("path", "thread", "connection", "op", "completion")
+
+    def __init__(self, path: CacheDataPath, thread: _ClientThread,
+                 connection: _Connection, op: EngineOp):
+        self.path = path
+        self.thread = thread
+        self.connection = connection
+        self.op = op
+
+    def reap(self, completion: Completion) -> None:
+        self.completion = completion
+        cpu = self.thread.cpu
+        if cpu.try_acquire():
+            self._poll(None)
+        else:
+            cpu.acquire().callbacks = [self._poll]
+
+    def _poll(self, _event: Optional[Event]) -> None:
+        path = self.path
+        work = path.profile.nic.completion_poll + path.profile.cpu.callback
+        path.env.timeout(work * path._noise()).callbacks = [self._polled]
+
+    def _polled(self, _event: Event) -> None:
+        self.thread.cpu.release()
+        path = self.path
+        if path.config.numa_affinity:
+            self._settle(None)
+            return
+        sigma = path._jitter_sigma
+        path.env.timeout(path.profile.cpu.numa_penalty_mean * math.exp(
+            path.rng.normal(0.0, sigma) - sigma**2 / 2)).callbacks = [
+                self._settle]
+
+    def _settle(self, _event: Optional[Event]) -> None:
+        path = self.path
+        op = self.op
+        completion = self.completion
+        self.connection.credits.try_put(object())
+        path._finish(op, OpResult(
+            ok=completion.ok, data=completion.data, error=completion.error,
+            latency=path.env.now - op.enqueued_at))

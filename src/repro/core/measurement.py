@@ -185,7 +185,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                     offset=int(offsets[offset_cursor % n_offsets]),
                     weight=weight, completion=new_event())
             offset_cursor += 1
-            yield submit(op, thread_index=thread_index)
+            submit(op, thread_index=thread_index)
             result = yield op.completion
             if not result.ok:
                 raise RuntimeError(f"measurement op failed: {result.error}")

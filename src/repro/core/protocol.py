@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.latency import OP_HEADER_BYTES, RESP_HEADER_BYTES
 from repro.net.memory import AccessToken
@@ -45,7 +45,13 @@ class EngineOp:
     offset: int = 0
     data: Optional[bytes] = None
     weight: int = 1
+    #: Fires with the op's :class:`OpResult`; created by
+    #: :meth:`CacheDataPath.submit` when neither it nor ``on_done`` is
+    #: given.
     completion: Optional[Event] = None
+    #: Called with the op's :class:`OpResult` in place of ``completion``
+    #: (callback chains skip the event's kernel hop).
+    on_done: Optional[Callable[["OpResult"], None]] = None
     enqueued_at: float = 0.0
     #: Dependent read: offset of the pointer word to chase first.  The
     #: record is then read at the little-endian u64 the word holds (with

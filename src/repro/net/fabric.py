@@ -5,6 +5,12 @@ rate (shared by everything an endpoint sends -- this is how migration
 traffic contends with foreground traffic in the Figure 15/16 experiments)
 and per-switch-hop propagation latency.
 
+An endpoint's transmit link is a closed-form FIFO reservation: a message
+that reaches the link at ``t`` serializes over ``[max(t, tx_free_at),
++ wire)`` and pushes ``tx_free_at`` to its end, so a whole request or
+response leg costs one kernel entry, a timeout at its landing time.
+Every timestamp equals the one a FIFO-held link reaches.
+
 Topology follows the paper's three network distances (§5.2): endpoints in
 the same rack are one switch apart, same cluster three, different
 clusters five.
@@ -14,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.hardware.nic import QpContextCache
 from repro.hardware.profiles import (
@@ -56,11 +63,12 @@ class Endpoint:
         self.fabric = fabric
         self.name = name
         self.placement = placement
-        #: Serializes outbound bytes at line rate.  Shared by every QP on
-        #: this endpoint, so bulk transfers and foreground traffic contend.
-        self.tx_link = Resource(fabric.env, slots=1)
-        #: Seconds this endpoint's tx link spent serializing (drives the
-        #: fabric's link-utilization metric).
+        #: When the transmit link finishes serializing everything reserved
+        #: on it so far.  Shared by every QP on this endpoint, so bulk
+        #: transfers and foreground traffic contend (see Fabric.send).
+        self.tx_free_at = 0.0
+        #: Serialization seconds reserved on this endpoint's tx link
+        #: (drives the fabric's link-utilization metric).
         self.tx_busy_seconds = 0.0
         self.regions: Dict[int, MemoryRegion] = {}
         self.alive = True
@@ -68,8 +76,9 @@ class Endpoint:
         #: link fault can flush all of them (see ``repro.faults``).
         self.qps: list = []
         #: Serialization slowdown factor (>= 1).  ``repro.faults`` sets
-        #: it above 1 to model a throttled/overheating node; all outbound
-        #: wire time stretches by this factor while it is raised.
+        #: it above 1 to model a throttled/overheating node; every
+        #: message that reserves the link while it is raised stretches
+        #: its wire time by this factor.
         self.throttle = 1.0
         #: Whether this NIC can execute chained verb programs as the
         #: responder (see ``repro.net.programs``).  Heterogeneous fleets
@@ -81,7 +90,7 @@ class Endpoint:
         #: default -- models an always-resident context (no per-QP NIC
         #: state pressure); control-plane modeling installs an LRU of
         #: ``NicSpec.qp_context_cache_entries`` and every verb through
-        #: this NIC then touches it (see ``QueuePair._execute``).
+        #: this NIC then touches it (see ``repro.net.qp``).
         self.qp_context_cache: Optional[QpContextCache] = None
         #: Installed verb-program descriptor shapes (see
         #: ``repro.net.programs.ProgramShapeCache``).  ``None`` until
@@ -187,7 +196,8 @@ class Fabric:
         self._uplinks: Dict[tuple[int, int], Resource] = {}
         #: Fabric-wide extra one-way propagation delay, seconds.  The
         #: fault injector raises it for the duration of a transient
-        #: latency spike (congestion, PFC storm) and lowers it back.
+        #: latency spike (congestion, PFC storm) and lowers it back; a
+        #: message pays the value in force when it reserves its link.
         self.extra_latency_s = 0.0
         #: Per-run region-id / token-key sources (see Endpoint.register).
         self._region_ids = itertools.count(1)
@@ -217,6 +227,12 @@ class Fabric:
             self._bytes_moved = None
             self._messages = None
             self._tx_busy = None
+        #: Reserved serializations not yet added to ``fabric.tx_busy_
+        #: seconds``: ``(end, seq, wire_time)``.  They are added once
+        #: their end has passed, in end order, so the float sum is the
+        #: one a per-message add at serialization end produces.
+        self._unsettled: List[Tuple[float, int, float]] = []
+        self._unsettled_seq = 0
 
     def issue_region_identity(self) -> tuple[int, int]:
         """Next (region_id, token_key) pair for a region registration."""
@@ -268,49 +284,105 @@ class Fabric:
     def switch_hops(self, src: Endpoint, dst: Endpoint) -> int:
         return src.placement.switch_hops_to(dst.placement)
 
-    def transmit(self, src: Endpoint, dst: Endpoint,
-                 wire_payload_bytes: int) -> Generator[Event, None, None]:
-        """Process: move one message from ``src`` to ``dst``.
+    def _reserve(self, src: Endpoint, dst: Endpoint, wire_payload_bytes: int
+                 ) -> Tuple[float, float, Optional[Resource]]:
+        """Reserve ``src``'s tx link for one message posted now.
 
-        Charges transmit serialization (holding the source's tx link, so
-        concurrent senders queue) followed by propagation across the
-        switches.  Propagation does not hold the link: back-to-back
-        messages pipeline, which is what makes queue depth effective.
+        Returns ``(end, flight, uplink)``: when serialization ends, the
+        one-way propagation still ahead of the message, and the rack
+        uplink it must cross first (``None`` when it crosses none).
+        The throttle and the fabric's extra latency are the values in
+        force now, at reservation.
         """
-        env = self.env
-        yield src.tx_link.acquire()
-        try:
-            # Throttle is read only after the link is held: the fault
-            # injector may raise it while a sender queues for the link.
-            wire_time = self._wire_time_cache.get(wire_payload_bytes)
-            if wire_time is None:
-                wire_time = self.profile.nic.wire_time(wire_payload_bytes)
-                self._wire_time_cache[wire_payload_bytes] = wire_time
-            wire_time = wire_time * src.throttle
-            yield env.timeout(wire_time)
-            src.tx_busy_seconds += wire_time
-            tx_busy = self._tx_busy
-            if tx_busy is not None:
-                tx_busy.inc(wire_time)
-                self._bytes_moved.inc(wire_payload_bytes)
-                self._messages.inc()
-        finally:
-            src.tx_link.release()
+        wire_time = self._wire_time_cache.get(wire_payload_bytes)
+        if wire_time is None:
+            wire_time = self.profile.nic.wire_time(wire_payload_bytes)
+            self._wire_time_cache[wire_payload_bytes] = wire_time
+        wire_time = wire_time * src.throttle
+        start = self.env._now
+        if src.tx_free_at > start:
+            start = src.tx_free_at
+        end = start + wire_time
+        src.tx_free_at = end
+        src.tx_busy_seconds += wire_time
+        if self._tx_busy is not None:
+            self._unsettled_seq += 1
+            heappush(self._unsettled, (end, self._unsettled_seq, wire_time))
+            self._bytes_moved.inc(wire_payload_bytes)
+            self._messages.inc()
         hops = src.placement.switch_hops_to(dst.placement)
-        if hops > SWITCH_HOPS_INTRA_RACK:
-            # Cross-rack traffic squeezes through the rack's shared
-            # uplink when the fabric is oversubscribed.
-            uplink = self._rack_uplink(src.placement)
-            if uplink is not None:
-                uplink_gbps = self.profile.fabric.rack_uplink_gbps
-                yield uplink.acquire()
-                try:
-                    yield env.timeout(
-                        wire_payload_bytes * 8 / (uplink_gbps * 1e9))
-                finally:
-                    uplink.release()
         base = self._one_way_cache.get(hops)
         if base is None:
             base = self.profile.fabric.one_way_base(hops)
             self._one_way_cache[hops] = base
-        yield env.timeout(base + self.extra_latency_s)
+        uplink = None
+        if hops > SWITCH_HOPS_INTRA_RACK:
+            # Cross-rack traffic squeezes through the rack's shared
+            # uplink when the fabric is oversubscribed.
+            uplink = self._rack_uplink(src.placement)
+        return end, base + self.extra_latency_s, uplink
+
+    def _settle(self, _event: Event) -> None:
+        """Add every reserved serialization that has ended by now to
+        ``fabric.tx_busy_seconds``, in end order."""
+        unsettled = self._unsettled
+        now = self.env._now
+        tx_busy = self._tx_busy
+        while unsettled and unsettled[0][0] <= now:
+            tx_busy.inc(heappop(unsettled)[2])
+
+    def send(self, src: Endpoint, dst: Endpoint, wire_payload_bytes: int,
+             then: Callable[[Event], None], tail: float = 0.0) -> None:
+        """Move one message from ``src`` to ``dst``; call ``then`` (with
+        the firing timeout) once it has landed and ``tail`` more
+        seconds have passed.
+
+        ``tail`` fuses the receiver's next fixed stage (a DMA into host
+        memory) into the landing entry: it fires at exactly
+        ``(landing + tail)``, the float a separate ``timeout(tail)``
+        after landing reaches.  Without a rack uplink on the path the
+        whole leg is one kernel entry; crossing an uplink adds a stage
+        at serialization end, where the message queues for it.
+        """
+        end, flight, uplink = self._reserve(src, dst, wire_payload_bytes)
+        callbacks = ([then] if self._tx_busy is None
+                     else [self._settle, then])
+        if uplink is None:
+            self.env.timeout_at((end + flight) + tail).callbacks = callbacks
+        else:
+            self.env.timeout_at(end).callbacks = [
+                lambda _e: self._cross_uplink(uplink, wire_payload_bytes,
+                                              flight, tail, callbacks)]
+
+    def _cross_uplink(self, uplink: Resource, wire_payload_bytes: int,
+                      flight: float, tail: float, callbacks: list) -> None:
+        """Uplink stage of :meth:`send`: queue FIFO for the rack uplink,
+        serialize through it, then fly the rest of the way."""
+        env = self.env
+
+        def crossed(_event: Event) -> None:
+            uplink.release()
+            env.timeout_at((env.now + flight) + tail).callbacks = callbacks
+
+        def granted(_event: Optional[Event] = None) -> None:
+            env.timeout(wire_payload_bytes * 8 / (
+                self.profile.fabric.rack_uplink_gbps * 1e9)).callbacks = [
+                    crossed]
+
+        if uplink.try_acquire():
+            granted()
+        else:
+            uplink.acquire().callbacks = [granted]
+
+    def transmit(self, src: Endpoint, dst: Endpoint,
+                 wire_payload_bytes: int) -> Generator[Event, None, None]:
+        """Process: move one message from ``src`` to ``dst``.
+
+        The generator form of :meth:`send`, for control-plane paths
+        that run as processes (connection handshakes, the RPC
+        baseline).  Propagation does not hold the link: back-to-back
+        messages pipeline, which is what makes queue depth effective.
+        """
+        landed = self.env.event()
+        self.send(src, dst, wire_payload_bytes, landed.succeed)
+        yield landed

@@ -15,9 +15,9 @@ remote NIC (each step charged :attr:`~repro.hardware.nic.NicSpec.
 program_step_latency` plus its DMA cost), and returns **one** response
 carrying the READ payloads -- so a dependent chain costs one round trip
 plus remote service time instead of one round trip per hop.  The
-execution engine lives in :meth:`repro.net.qp.QueuePair._execute`; this
-module owns the descriptor, its validation, and its wire-cost
-accounting.
+execution engine is the queue pair's verb pipeline
+(:mod:`repro.net.qp`); this module owns the descriptor, its validation,
+and its wire-cost accounting.
 
 Failure semantics: a step that faults (revoked token, out-of-bounds
 deref) or a CAS guard that observes a changed value aborts the chain at

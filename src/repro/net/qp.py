@@ -11,10 +11,10 @@ how RDMA surfaces transport errors through the completion queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.net.fabric import Endpoint
-from repro.net.memory import AccessToken, RdmaAccessError
+from repro.net.memory import AccessToken, MemoryRegion, RdmaAccessError
 from repro.net.programs import (
     CAS_WORD_BYTES,
     StepOp,
@@ -30,6 +30,10 @@ __all__ = ["QueuePair", "QueuePairError"]
 
 #: Wire bytes of a READ request / WRITE acknowledgement (header-only).
 CONTROL_MESSAGE_BYTES = 0
+
+#: Where a work request's completion goes: the event :meth:`QueuePair.
+#: post` returned, or the callback given to :meth:`QueuePair.post_then`.
+_Sink = Union[Event, Callable[[Completion], None]]
 
 
 class QueuePairError(Exception):
@@ -66,7 +70,7 @@ class QueuePair:
         self.qp_id = local.fabric.issue_qp_id()
         self._in_flight = 0
         self._wr_seq = 0
-        self._backlog: Deque[tuple[WorkRequest, Event]] = deque()
+        self._backlog: Deque[tuple[WorkRequest, _Sink]] = deque()
         #: Completions pending in-order delivery, keyed by arrival.
         self._connected = True
         #: Whether the connection handshake has completed.  Established
@@ -225,11 +229,11 @@ class QueuePair:
 
     def _flush_backlog(self, reason: str) -> None:
         while self._backlog:
-            wr, event = self._backlog.popleft()
+            wr, sink = self._backlog.popleft()
             completion = self._error_completion(wr, reason)
             if self._error_completions is not None:
                 self._error_completions.inc()
-            event.succeed(completion)
+            self._settle_later(sink, completion)
         if self._backlog_depth is not None:
             self._backlog_depth.set(0)
 
@@ -272,6 +276,23 @@ class QueuePair:
         waits in the send queue (FIFO), exactly the behaviour the
         fully-loaded-QP optimization (§4.3) tunes around.
         """
+        completion_event = self.env.event()
+        self._submit(wr, completion_event)
+        return completion_event
+
+    def post_then(self, wr: WorkRequest,
+                  then: Callable[[Completion], None]) -> None:
+        """Post a work request and call ``then`` with its completion.
+
+        The callback form of :meth:`post`: a verb that completes on the
+        wire calls ``then`` inside its landing's kernel entry, saving
+        the event hop.  A completion produced at post or flush time (an
+        errored, disconnected or reclaimed QP) is still delivered on a
+        later kernel step, in the order :meth:`post`'s event would fire.
+        """
+        self._submit(wr, then)
+
+    def _submit(self, wr: WorkRequest, sink: _Sink) -> None:
         if not self._connected:
             raise QueuePairError("post() on a disconnected queue pair")
         env = self.env
@@ -280,38 +301,44 @@ class QueuePair:
         wr.wr_id = self._wr_seq
         if self._ops_posted is not None:
             self._ops_posted.inc()
-        completion_event = env.event()
         if self._error_state is not None:
             # Completion-with-error flush: the post is accepted (callers
             # keep their completion-driven control flow) but fails on the
             # next kernel step, like a work request hitting an errored QP.
             if self._error_completions is not None:
                 self._error_completions.inc()
-            completion_event.succeed(
-                self._error_completion(wr, self._error_state))
+            self._settle_later(
+                sink, self._error_completion(wr, self._error_state))
         elif not self._established:
             # Lazy connect: the first use of a deferred QP triggers
             # establishment; the request waits in the send queue until
             # the handshake completes.
-            self._backlog.append((wr, completion_event))
+            self._backlog.append((wr, sink))
             if self._backlog_depth is not None:
                 self._backlog_depth.set(len(self._backlog))
             self.establish()
         elif self._in_flight < self.max_depth:
-            self._launch(wr, completion_event)
+            self._launch(wr, sink)
         else:
-            self._backlog.append((wr, completion_event))
+            self._backlog.append((wr, sink))
             if self._backlog_depth is not None:
                 self._backlog_depth.set(len(self._backlog))
-        return completion_event
+
+    def _settle_later(self, sink: _Sink, completion: Completion) -> None:
+        """Deliver a completion produced outside the wire pipeline on the
+        next kernel step (an event's own dispatch, or a queued call)."""
+        if isinstance(sink, Event):
+            sink.succeed(completion)
+        else:
+            self.env._call_soon(sink, completion)
 
     def _drain_backlog(self) -> None:
         """Launch queued requests up to the depth bound (post-establish)."""
         while (self._backlog and self._connected
                and self._error_state is None
                and self._in_flight < self.max_depth):
-            wr, event = self._backlog.popleft()
-            self._launch(wr, event)
+            wr, sink = self._backlog.popleft()
+            self._launch(wr, sink)
         if self._backlog_depth is not None:
             self._backlog_depth.set(len(self._backlog))
 
@@ -365,128 +392,235 @@ class QueuePair:
             self._context_misses.inc()
         return endpoint.fabric.profile.nic.qp_context_miss_penalty
 
-    def _launch(self, wr: WorkRequest, completion_event: Event) -> None:
+    def _launch(self, wr: WorkRequest, sink: _Sink) -> None:
         self._in_flight += 1
-        self.env.process(
-            self._execute(wr, completion_event),
-            name=f"qp:{self.local.name}->{self.remote.name}:{wr.wr_id}")
+        _Verb(self, wr, sink)
 
-    def _finish(self, wr: WorkRequest, completion_event: Event,
+    def _finish(self, wr: WorkRequest, sink: _Sink,
                 completion: Completion) -> None:
         self._in_flight -= 1
         if self._backlog and self._connected:
-            next_wr, next_event = self._backlog.popleft()
+            next_wr, next_sink = self._backlog.popleft()
             if self._backlog_depth is not None:
                 self._backlog_depth.set(len(self._backlog))
-            self._launch(next_wr, next_event)
+            self._launch(next_wr, next_sink)
         completion.completed_at = self.env.now
         if self._wire_latency is not None:
             self._wire_latency.observe(self.env.now - wr.posted_at)
             if not completion.ok:
                 self._error_completions.inc()
-        completion_event.succeed(completion)
+        if isinstance(sink, Event):
+            sink.succeed(completion)
+        else:
+            sink(completion)
 
-    def _execute(self, wr: WorkRequest, completion_event: Event):
-        """The verb's life on the wire.  See DESIGN.md §4 for the budget."""
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
+    def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
+        return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,
+                          context=wr.context, completed_at=self.env.now)
 
+
+class _Verb:
+    """One work request's life on the wire (DESIGN.md §4 budget, §5m).
+
+    Every verb kind runs through the same callback pipeline, one kernel
+    entry per timed stage:
+
+    1. *post* -- requester NIC processing (plus the DMA fetch of a
+       non-inline WRITE payload or program operands);
+    2. *request* -- reserve the requester's tx link; the request lands
+       at the responder in one entry (:meth:`Fabric.send`);
+    3. *arrive* -- responder checks (endpoint alive, region found,
+       program support), then the responder's service time;
+    4. *serve* -- memory effects, then reserve the responder's tx link;
+       the response lands (plus the requester's receive DMA) in one
+       entry;
+    5. *land* -- complete the work request.
+
+    READ and WRITE take one extra entry between 3 and 4 when the
+    responder's QP context missed its NIC cache.  Every stage fires at
+    the float that one relative timeout per cost term, chained, reaches.
+    """
+
+    __slots__ = ("qp", "wr", "sink", "region", "data", "completion")
+
+    def __init__(self, qp: QueuePair, wr: WorkRequest, sink: _Sink):
+        self.qp = qp
+        self.wr = wr
+        self.sink = sink
+        self.region: Optional[MemoryRegion] = None
+        self.data: Optional[bytes] = None
+        self.completion: Optional[Completion] = None
+        env = qp.env
+        local = qp.local
         if not local.alive:
-            # A dead requester posts nothing: its NIC is gone.
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "local endpoint down"))
+            # A dead requester posts nothing: its NIC is gone.  The
+            # error completes on a later step, in post order.
+            env.timeout_at(env.now).callbacks = [self._local_down]
             return
-
+        nic = local.fabric.profile.nic
         # NIC work-request processing on the requester.  Followers of a
         # doorbell batch amortize the MMIO + WQE-ring fetch.
         per_message = nic.per_message_processing
         if wr.doorbell_batched:
             per_message *= nic.doorbell_batch_discount
-        penalty = self._context_penalty(local)
+        penalty = qp._context_penalty(local)
         if penalty:
             per_message += penalty
-        yield env.timeout(per_message)
-
-        if wr.op is RdmaOp.PROGRAM:
-            yield from self._execute_program(wr, completion_event)
-            return
-        if wr.op is RdmaOp.CAS:
-            yield from self._execute_cas(wr, completion_event)
-            return
-
+        when = env.now + per_message
+        # Payload acquisition: inline rides in the WQE; otherwise the
+        # NIC fetches it from host memory over PCIe.  This asymmetry is
+        # why small writes beat small reads in Figure 11.
         if wr.op is RdmaOp.WRITE:
-            # Payload acquisition: inline rides in the WQE; otherwise the
-            # NIC fetches it from host memory over PCIe.  This asymmetry
-            # is why small writes beat small reads in Figure 11.
             if not nic.can_inline(wr.payload_bytes):
-                yield env.timeout(nic.dma_fetch(wr.payload_bytes))
-            request_bytes = wr.payload_bytes
-        else:
+                when = when + nic.dma_fetch(wr.payload_bytes)
+        elif wr.op is RdmaOp.PROGRAM:
+            if qp._programs_posted is not None:
+                qp._programs_posted.inc()
+            write_bytes = wr.program.write_payload_bytes
+            if write_bytes and not nic.can_inline(write_bytes):
+                when = when + nic.dma_fetch(write_bytes)
+        env.timeout_at(when).callbacks = [self._request]
+
+    def _fail(self, error: str) -> None:
+        qp = self.qp
+        qp._finish(self.wr, self.sink, qp._error_completion(self.wr, error))
+
+    def _local_down(self, _event: Event) -> None:
+        self._fail("local endpoint down")
+
+    def _request(self, _event: Event) -> None:
+        qp = self.qp
+        wr = self.wr
+        op = wr.op
+        if op is RdmaOp.READ:
             request_bytes = CONTROL_MESSAGE_BYTES
+        elif op is RdmaOp.WRITE:
+            request_bytes = wr.payload_bytes
+        elif op is RdmaOp.CAS:
+            # Both operands ride inline in the work request.
+            request_bytes = 2 * CAS_WORD_BYTES
+        else:
+            # Descriptor amortization: when the responder already has
+            # this program *shape* installed (any earlier connection
+            # posted it), the request carries a compact shape reference
+            # plus operands instead of the full per-step descriptors.
+            program = wr.program
+            request_bytes = program.request_wire_bytes
+            shapes = qp.remote.program_shapes
+            if shapes is not None and shapes.install(program.shape_key):
+                request_bytes = program.cached_request_wire_bytes
+        qp.local.fabric.send(qp.local, qp.remote, request_bytes, self._arrive)
 
-        yield from fabric.transmit(local, remote, request_bytes)
-
+    def _arrive(self, _event: Event) -> None:
+        qp = self.qp
+        wr = self.wr
+        remote = qp.remote
         if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
+            self._fail("remote endpoint down")
             return
-
+        op = wr.op
+        if op is RdmaOp.PROGRAM:
+            if not remote.supports_programs:
+                self._fail(f"{remote.name} does not support verb programs")
+                return
+            self._run_program()
+            return
+        if op is RdmaOp.CAS:
+            if self._find_region() is not None:
+                nic = remote.fabric.profile.nic
+                qp.env.timeout(
+                    nic.program_step_latency + nic.dma_fetch(CAS_WORD_BYTES)
+                    + qp._context_penalty(remote)).callbacks = [
+                        self._serve_cas]
+            return
         # Responder NIC looks up this QP's connection context too.
-        penalty = self._context_penalty(remote)
+        penalty = qp._context_penalty(remote)
         if penalty:
-            yield env.timeout(penalty)
+            qp.env.timeout(penalty).callbacks = [self._respond]
+        else:
+            self._respond(None)
 
-        region = remote.find_region(wr.token.region_id)
+    def _find_region(self) -> Optional[MemoryRegion]:
+        region_id = self.wr.token.region_id
+        region = self.qp.remote.find_region(region_id)
         if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
-            return
+            self._fail(f"no region {region_id} at {self.qp.remote.name}")
+        self.region = region
+        return region
 
-        data: Optional[bytes] = None
+    def _respond(self, _event: Optional[Event]) -> None:
+        if self._find_region() is None:
+            return
+        wr = self.wr
+        nic = self.qp.remote.fabric.profile.nic
+        # WRITE: the payload lands in host memory; READ: the responder
+        # NIC pulls the payload from host memory.
+        service = (nic.rx_dma if wr.op is RdmaOp.WRITE
+                   else nic.dma_fetch(wr.payload_bytes))
+        self.qp.env.timeout(service).callbacks = [self._serve]
+
+    def _serve(self, _event: Event) -> None:
+        qp = self.qp
+        wr = self.wr
+        region = self.region
         try:
             if wr.op is RdmaOp.WRITE:
-                yield env.timeout(nic.rx_dma)
                 region.write(wr.token, wr.remote_offset, wr.data,
                              length=wr.payload_bytes)
                 region.deliver(wr.payload_object)
                 response_bytes = CONTROL_MESSAGE_BYTES
+                tail = 0.0
             else:
-                # Responder NIC pulls the payload from host memory.
-                yield env.timeout(nic.dma_fetch(wr.payload_bytes))
-                data = region.read(wr.token, wr.remote_offset, wr.payload_bytes)
+                self.data = region.read(wr.token, wr.remote_offset,
+                                        wr.payload_bytes)
                 response_bytes = wr.payload_bytes
+                # The payload is delivered into the requester's memory.
+                tail = qp.local.fabric.profile.nic.rx_dma
         except RdmaAccessError as exc:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, str(exc)))
+            self._fail(str(exc))
             return
+        self.completion = Completion(wr_id=wr.wr_id, op=wr.op, ok=True,
+                                     data=self.data, context=wr.context)
+        qp.remote.fabric.send(qp.remote, qp.local, response_bytes,
+                              self._land, tail)
 
-        yield from fabric.transmit(remote, local, response_bytes)
+    def _serve_cas(self, _event: Event) -> None:
+        """Standalone single-word compare-and-swap (e.g. remote-side
+        eviction marking).  ``wr.data`` is the swap value, ``wr.compare``
+        the expected word; the completion's ``data`` is the observed
+        original, with ``cas_aborted`` set on mismatch."""
+        qp = self.qp
+        wr = self.wr
+        try:
+            current = self.region.read(wr.token, wr.remote_offset,
+                                       CAS_WORD_BYTES)
+            matched = (current is None or wr.compare is None
+                       or current == wr.compare)
+            if matched and wr.data is not None:
+                self.region.write(wr.token, wr.remote_offset, wr.data)
+        except RdmaAccessError as exc:
+            self._fail(str(exc))
+            return
+        if qp._program_cas_aborts is not None and not matched:
+            qp._program_cas_aborts.inc()
+        self.completion = Completion(
+            wr_id=wr.wr_id, op=RdmaOp.CAS, ok=matched, data=current,
+            error=None if matched else "cas mismatch", context=wr.context,
+            cas_aborted=not matched)
+        qp.remote.fabric.send(qp.remote, qp.local, CAS_WORD_BYTES,
+                              self._land, qp.local.fabric.profile.nic.rx_dma)
 
-        if wr.op is RdmaOp.READ:
-            # Deliver the payload into the requester's memory.
-            yield env.timeout(nic.rx_dma)
-
-        self._finish(
-            wr, completion_event,
-            Completion(wr_id=wr.wr_id, op=wr.op, ok=True, data=data,
-                       context=wr.context))
-
-    def _execute_program(self, wr: WorkRequest, completion_event: Event):
+    def _run_program(self) -> None:
         """Execute a chained verb program: one wire round trip plus
         per-step remote-NIC service time.
 
-        The descriptor (plus inline WRITE operands) crosses the fabric
+        The descriptor (plus inline WRITE operands) crossed the fabric
         once; the remote NIC walks the chain charging
         ``program_step_latency`` per step plus each step's DMA cost, all
-        folded into a *single* service timeout (one trigger->resume edge
-        per program -- the happens-before detector and the replay
-        sanitizer see program execution as one atomic remote event, not
-        a per-step flurry); one response returns the produced payloads.
+        folded into a *single* service timeout (one kernel entry per
+        program -- the happens-before detector and the replay sanitizer
+        see program execution as one atomic remote event, not a
+        per-step flurry); one response returns the produced payloads.
 
         Memory sampling: non-guard steps read/write at descriptor
         arrival; CAS guards (``compare_from``) re-sample *after* the
@@ -496,54 +630,17 @@ class QueuePair:
         guard mismatch aborts the chain and surfaces a partial
         completion.
         """
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
-        program = wr.program
-        assert program is not None
-        if self._programs_posted is not None:
-            self._programs_posted.inc()
-
-        # Gather WRITE operands: small ones ride inline in the
-        # descriptor, larger ones are DMA-fetched before it leaves.
-        write_bytes = program.write_payload_bytes
-        if write_bytes and not nic.can_inline(write_bytes):
-            yield env.timeout(nic.dma_fetch(write_bytes))
-
-        # Descriptor amortization: when the responder already has this
-        # program *shape* installed (any earlier connection posted it),
-        # the request carries a compact shape reference plus operands
-        # instead of the full per-step descriptors.
-        request_bytes = program.request_wire_bytes
-        shapes = remote.program_shapes
-        if shapes is not None and shapes.install(program.shape_key):
-            request_bytes = program.cached_request_wire_bytes
-
-        yield from fabric.transmit(local, remote, request_bytes)
-
-        if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
-            return
-        if not remote.supports_programs:
-            self._finish(wr, completion_event, self._error_completion(
-                wr, f"{remote.name} does not support verb programs"))
-            return
-        region = remote.find_region(wr.token.region_id)
+        region = self._find_region()
         if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
             return
-
-        steps = program.steps
+        qp = self.qp
+        wr = self.wr
+        nic = qp.remote.fabric.profile.nic
+        steps = wr.program.steps
         produced: List[Optional[bytes]] = [None] * len(steps)
         results: Dict[int, StepResult] = {}
         guards: List[tuple[int, object, int]] = []
-        service = self._context_penalty(remote)
+        service = qp._context_penalty(qp.remote)
         error: Optional[str] = None
         cas_aborted = False
         wrote = False
@@ -593,8 +690,19 @@ class QueuePair:
                 break
 
         # The whole remote-side chain is one service interval.
-        yield env.timeout(service)
+        qp.env.timeout(service).callbacks = [
+            lambda _e: self._serve_program(produced, results, guards, error,
+                                           cas_aborted, wrote)]
 
+    def _serve_program(self, produced: List[Optional[bytes]],
+                       results: Dict[int, StepResult],
+                       guards: List[tuple[int, object, int]],
+                       error: Optional[str], cas_aborted: bool,
+                       wrote: bool) -> None:
+        qp = self.qp
+        wr = self.wr
+        region = self.region
+        program = wr.program
         if error is None and not cas_aborted:
             try:
                 # The region may have been revoked while the chain ran
@@ -622,15 +730,11 @@ class QueuePair:
 
         step_results = tuple(results[i] for i in sorted(results))
         executed = sum(1 for r in step_results if r.ok)
-        if self._program_steps is not None:
-            self._program_steps.inc(len(step_results))
+        if qp._program_steps is not None:
+            qp._program_steps.inc(len(step_results))
             if cas_aborted:
-                self._program_cas_aborts.inc()
+                qp._program_cas_aborts.inc()
         ok = error is None and not cas_aborted
-
-        response_bytes = (program.response_wire_bytes if ok
-                          else program.response_bytes_through(executed))
-        yield from fabric.transmit(remote, local, response_bytes)
 
         data: Optional[bytes] = None
         delivered_read = False
@@ -638,63 +742,25 @@ class QueuePair:
             if result.op is StepOp.READ and result.ok:
                 data = result.data
                 delivered_read = True
-        if delivered_read:
-            yield env.timeout(nic.rx_dma)
-        if ok and wrote:
-            region.deliver(wr.payload_object)
-
-        self._finish(wr, completion_event, Completion(
+        if not (ok and wrote):
+            # Only a program that landed a WRITE step delivers its
+            # payload object, after the response arrives.
+            self.region = None
+        self.completion = Completion(
             wr_id=wr.wr_id, op=RdmaOp.PROGRAM, ok=ok,
             data=data if ok else None, error=error, context=wr.context,
             steps_completed=executed, step_results=step_results,
-            cas_aborted=cas_aborted))
+            cas_aborted=cas_aborted)
+        response_bytes = (program.response_wire_bytes if ok
+                          else program.response_bytes_through(executed))
+        tail = qp.local.fabric.profile.nic.rx_dma if delivered_read else 0.0
+        qp.remote.fabric.send(qp.remote, qp.local, response_bytes,
+                              self._land_program, tail)
 
-    def _execute_cas(self, wr: WorkRequest, completion_event: Event):
-        """Standalone single-word compare-and-swap (e.g. remote-side
-        eviction marking).  ``wr.data`` is the swap value, ``wr.compare``
-        the expected word; the completion's ``data`` is the observed
-        original, with ``cas_aborted`` set on mismatch."""
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
+    def _land_program(self, _event: Event) -> None:
+        if self.region is not None:
+            self.region.deliver(self.wr.payload_object)
+        self._land(_event)
 
-        # Both operands ride inline in the work request.
-        yield from fabric.transmit(local, remote, 2 * CAS_WORD_BYTES)
-        if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
-            return
-        region = remote.find_region(wr.token.region_id)
-        if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
-            return
-        try:
-            yield env.timeout(nic.program_step_latency
-                              + nic.dma_fetch(CAS_WORD_BYTES)
-                              + self._context_penalty(remote))
-            current = region.read(wr.token, wr.remote_offset, CAS_WORD_BYTES)
-            matched = (current is None or wr.compare is None
-                       or current == wr.compare)
-            if matched and wr.data is not None:
-                region.write(wr.token, wr.remote_offset, wr.data)
-        except RdmaAccessError as exc:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, str(exc)))
-            return
-        yield from fabric.transmit(remote, local, CAS_WORD_BYTES)
-        yield env.timeout(nic.rx_dma)
-        if self._program_cas_aborts is not None and not matched:
-            self._program_cas_aborts.inc()
-        self._finish(wr, completion_event, Completion(
-            wr_id=wr.wr_id, op=RdmaOp.CAS, ok=matched, data=current,
-            error=None if matched else "cas mismatch", context=wr.context,
-            cas_aborted=not matched))
-
-    def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
-        return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,
-                          context=wr.context, completed_at=self.env.now)
+    def _land(self, _event: Event) -> None:
+        self.qp._finish(self.wr, self.sink, self.completion)

@@ -37,6 +37,7 @@ only on sim time and the access stream.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.client import CacheIoResult, RedyCache
@@ -224,9 +225,7 @@ class ShardRouter:
         done = self.env.event()
         if callback is not None:
             done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._io(True, addr, size, None, done,
-                                  tenant=tenant, priority=priority),
-                         name=f"router-read:{addr}")
+        self._io(True, addr, size, None, done, tenant, priority)
         return done
 
     def write(self, addr: int, data: bytes,
@@ -235,9 +234,7 @@ class ShardRouter:
         done = self.env.event()
         if callback is not None:
             done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._io(False, addr, len(data), data, done,
-                                  tenant=tenant, priority=priority),
-                         name=f"router-write:{addr}")
+        self._io(False, addr, len(data), data, done, tenant, priority)
         return done
 
     def load(self, addr: int, data: bytes) -> None:
@@ -315,16 +312,23 @@ class ShardRouter:
     # Backpressure
     # ------------------------------------------------------------------
 
-    def _acquire(self, member: ShardMember, priority: int = 0):
-        while member.inflight >= self.max_inflight_per_shard:
-            waiter = self.env.event()
-            self._waiter_seq += 1
-            heapq.heappush(member.waiters,
-                           (-priority, self._waiter_seq, waiter))
-            yield waiter
-        member.inflight += 1
-        if member.inflight_gauge:
-            member.inflight_gauge.set(member.inflight)
+    def _acquire(self, member: ShardMember, priority: int,
+                 go: Callable[[], None]) -> None:
+        """Take an in-flight slot on ``member``, then call ``go``.
+
+        A free slot is taken at once; otherwise the request waits in
+        the member's priority queue and re-checks when woken.
+        """
+        if member.inflight < self.max_inflight_per_shard:
+            member.inflight += 1
+            if member.inflight_gauge:
+                member.inflight_gauge.set(member.inflight)
+            go()
+            return
+        waiter = self.env.event()
+        self._waiter_seq += 1
+        heapq.heappush(member.waiters, (-priority, self._waiter_seq, waiter))
+        waiter.callbacks = [lambda _e: self._acquire(member, priority, go)]
 
     def _release(self, member: ShardMember) -> None:
         member.inflight -= 1
@@ -333,18 +337,15 @@ class ShardRouter:
         if member.waiters and member.inflight < self.max_inflight_per_shard:
             heapq.heappop(member.waiters)[2].succeed()
 
-    def _issue(self, member: ShardMember, is_read: bool, addr: int,
-               size_or_data, tenant: Optional[str] = None,
-               priority: int = 0):
-        """Acquire an in-flight slot and start one member I/O.
+    def _member_io(self, member: ShardMember, is_read: bool, addr: int,
+                   size_or_data, tenant: Optional[str] = None) -> Event:
+        """Start one member I/O on an already-held in-flight slot.
 
         Returns the member cache's completion event; the slot is
         released by callback, so even an abandoned hedge loser frees
-        its slot when it eventually completes.  ``priority`` orders the
-        backpressure queue (weighted issue order for the serving tier);
-        ``tenant`` rides down to the engine for per-tenant accounting.
+        its slot when it eventually completes.  ``tenant`` rides down
+        to the engine for per-tenant accounting.
         """
-        yield from self._acquire(member, priority)  # repro-lint: disable=L005 -- slot is released by the completion callback below, so abandoned hedge losers still free it
         if is_read:
             event = member.cache.read(addr, size_or_data, tenant=tenant)
             if member.reads:
@@ -357,170 +358,71 @@ class ShardRouter:
         return event
 
     # ------------------------------------------------------------------
-    # Read path
+    # I/O path
     # ------------------------------------------------------------------
 
     def _io(self, is_read: bool, addr: int, size: int,
             data: Optional[bytes], done: Event,
-            tenant: Optional[str] = None, priority: int = 0):
-        started = self.env.now
+            tenant: Optional[str], priority: int) -> None:
+        """Fan one router I/O out per slot fragment (see :class:`_Io`)."""
         try:
             fragments = self._fragments(addr, size)
         except AddressError as exc:
             done.succeed(CacheIoResult(ok=False, error=str(exc)))
             return
-        if False:
-            yield  # pragma: no cover -- makes this a generator
         if tenant is not None:
             family = self._c_tenant_reads if is_read else self._c_tenant_writes
             if family is not None:
                 family.labels(tenant=tenant).inc()
-        parts: List[Event] = []
-        for slot, frag_addr, length, offset in fragments:
-            part = self.env.event()
-            parts.append(part)
+        io = _Io(self, is_read, done, len(fragments))
+        for index, (slot, frag_addr, length, offset) in enumerate(fragments):
+            then = partial(io.part_done, index)
             if is_read:
-                self.env.process(  # repro-lint: disable=L006 -- fragment completion is joined via `part` in all_of below
-                    self._read_fragment(slot, frag_addr, length, part,
-                                        tenant, priority),
-                    name=f"router-read-frag:{slot}")
+                _FragmentRead(self, slot, frag_addr, length, then, tenant,
+                              priority)
             else:
-                payload = data[offset:offset + length]
-                self.env.process(  # repro-lint: disable=L006 -- fragment completion is joined via `part` in all_of below
-                    self._write_fragment(slot, frag_addr, payload, part,
-                                         tenant, priority),
-                    name=f"router-write-frag:{slot}")
-        results = yield self.env.all_of(parts)
-        latency = self.env.now - started
-        failed = [r for r in results if not r.ok]
-        if failed:
-            done.succeed(CacheIoResult(ok=False, error=failed[0].error,
-                                       latency=latency))
-            return
-        if is_read:
-            if self._c_reads:
-                self._c_reads.inc()
-            if self._h_read_lat:
-                self._h_read_lat.observe(latency)
-            payload = (results[0].data if len(results) == 1
-                       else b"".join(r.data for r in results))
-            done.succeed(CacheIoResult(ok=True, data=payload,
-                                       latency=latency))
-        else:
-            if self._c_writes:
-                self._c_writes.inc()
-            if self._h_write_lat:
-                self._h_write_lat.observe(latency)
-            done.succeed(CacheIoResult(ok=True, latency=latency))
-
-    def _read_fragment(self, slot: int, addr: int, length: int,
-                       done: Event, tenant: Optional[str] = None,
-                       priority: int = 0):
-        self._record_access(slot)
-        pool = self._read_pool(slot)
-        result = CacheIoResult(ok=False, error="no live shard for range")
-        for i, name in enumerate(pool):
-            member = self._members.get(name)
-            if member is None or not member.alive:
-                continue
-            # Anything not served by the pool's first choice -- dead
-            # primary skipped or a failed attempt retried -- is a
-            # failover.
-            if i and self._c_failovers:
-                self._c_failovers.inc()
-            result = yield from self._attempt_read(member, addr, length,
-                                                   pool[i + 1:],
-                                                   tenant, priority)
-            if result.ok:
-                break
-        done.succeed(result)
-
-    def _attempt_read(self, member: ShardMember, addr: int, length: int,
-                      alternates: List[str], tenant: Optional[str] = None,
-                      priority: int = 0):
-        primary = yield from self._issue(member, True, addr, length,
-                                         tenant, priority)
-        if self.hedge_after_s is None:
-            result = yield primary
-            return result
-        index, value = yield self.env.any_of(
-            [primary, self.env.timeout(self.hedge_after_s)])
-        if index == 0:
-            return value
-        # Primary is slow: hedge to the first alternate with headroom,
-        # or back to the same shard (a duplicate behind a different
-        # queue slot) -- never block waiting for hedge capacity.
-        hedge_member = None
-        for name in alternates:
-            alt = self._members.get(name)
-            if (alt is not None and alt.alive
-                    and alt.inflight < self.max_inflight_per_shard):
-                hedge_member = alt
-                break
-        if (hedge_member is None and member.alive
-                and member.inflight < self.max_inflight_per_shard):
-            hedge_member = member
-        if hedge_member is None:
-            result = yield primary
-            return result
-        if self._c_hedges:
-            self._c_hedges.inc()
-        hedge = yield from self._issue(hedge_member, True, addr, length,
-                                       tenant, priority)
-        index, value = yield self.env.any_of([primary, hedge])
-        if value.ok:
-            if index == 1 and self._c_hedge_wins:
-                self._c_hedge_wins.inc()
-            return value
-        # First finisher failed; wait out the other copy.
-        other = hedge if index == 0 else primary
-        result = yield other
-        if result.ok and other is hedge and self._c_hedge_wins:
-            self._c_hedge_wins.inc()
-        return result
+                self._write_fragment(slot, frag_addr,
+                                     data[offset:offset + length], then,
+                                     tenant, priority)
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
 
-    def _write_barrier(self, slot: int):
-        """Wait while the slot's range (or the slot itself) is gated."""
-        point = self._slot_points[slot]
-        while True:
-            gate = self._slot_gates.get(slot)
-            if gate is None:
-                gate = next((g for lo, hi, g in self._gates
-                             if range_contains(lo, hi, point)), None)
-            if gate is None:
-                return
-            yield gate
+    def _write_gate(self, slot: int) -> Optional[Event]:
+        """The gate holding writes to ``slot`` (its range or the slot
+        itself is being streamed), if any."""
+        gate = self._slot_gates.get(slot)
+        if gate is None:
+            point = self._slot_points[slot]
+            gate = next((g for lo, hi, g in self._gates
+                         if range_contains(lo, hi, point)), None)
+        return gate
 
     def _write_fragment(self, slot: int, addr: int, payload: bytes,
-                        done: Event, tenant: Optional[str] = None,
-                        priority: int = 0):
-        yield from self._write_barrier(slot)
-        issued: List[Event] = []
+                        then: Callable[[CacheIoResult], None],
+                        tenant: Optional[str] = None,
+                        priority: int = 0) -> None:
+        gate = self._write_gate(slot)
+        if gate is not None:
+            gate._add_callback(lambda _e: self._write_fragment(
+                slot, addr, payload, then, tenant, priority))
+            return
+
+        def written(results: List[CacheIoResult]) -> None:
+            if not results:
+                then(CacheIoResult(ok=False,
+                                   error="no live shard for range"))
+                return
+            oks = [r for r in results if r.ok]
+            if len(oks) < len(results) and self._c_partial:
+                self._c_partial.inc(len(results) - len(oks))
+            then(CacheIoResult(ok=True) if oks else results[0])
+
         # Sorted acquire order: concurrent multi-target writes never
         # hold-and-wait on each other's shards in opposite orders.
-        for name in sorted(self._write_targets(slot)):
-            member = self._members.get(name)
-            if member is None or not member.alive:
-                continue
-            event = yield from self._issue(member, False, addr, payload,
-                                           tenant, priority)
-            issued.append(event)
-        if not issued:
-            done.succeed(CacheIoResult(ok=False,
-                                       error="no live shard for range"))
-            return
-        results = yield self.env.all_of(issued)
-        oks = [r for r in results if r.ok]
-        if len(oks) < len(results) and self._c_partial:
-            self._c_partial.inc(len(results) - len(oks))
-        if oks:
-            done.succeed(CacheIoResult(ok=True))
-        else:
-            done.succeed(results[0])
+        _FanOut(self, sorted(self._write_targets(slot)), addr, payload,
+                written, tenant, priority, live_only=True)
 
     # ------------------------------------------------------------------
     # Hot keys
@@ -584,12 +486,10 @@ class ShardRouter:
             result = yield source.cache.read(addr, size)
             if not result.ok:
                 return
-            writes = []
-            for name in sorted(extras):
-                event = yield from self._issue(self._members[name], False,
-                                               addr, result.data)
-                writes.append(event)
-            results = yield self.env.all_of(writes)
+            written = self.env.event()
+            _FanOut(self, sorted(extras), addr, result.data, written.succeed,
+                    None, 0, live_only=False)
+            results = yield written
             landed = tuple(name for name, r in zip(sorted(extras), results)
                            if r.ok)
             if landed:
@@ -732,3 +632,225 @@ class ShardRouter:
         if member.name not in self._members or member.departing:
             return
         self.depart(member.name, emergency=False, reason="vm-eviction")
+
+
+class _FanOut:
+    """One payload written to several members, as a callback chain.
+
+    In-flight slots are taken one member after another (in ``names``
+    order, so concurrent fan-outs never hold-and-wait in opposite
+    orders); once every write has answered, ``then`` gets the results
+    in that order.  ``live_only`` skips members that are gone or dead by
+    the time their turn comes.
+    """
+
+    __slots__ = ("router", "names", "addr", "payload", "then", "tenant",
+                 "priority", "live_only", "index", "issued", "remaining")
+
+    def __init__(self, router: ShardRouter, names: List[str], addr: int,
+                 payload: bytes,
+                 then: Callable[[List[CacheIoResult]], None],
+                 tenant: Optional[str], priority: int, *, live_only: bool):
+        self.router = router
+        self.names = names
+        self.addr = addr
+        self.payload = payload
+        self.then = then
+        self.tenant = tenant
+        self.priority = priority
+        self.live_only = live_only
+        self.index = 0
+        self.issued: List[Event] = []
+        self.remaining = 0
+        self._issue_from(0)
+
+    def _issue_from(self, index: int) -> None:
+        router = self.router
+        names = self.names
+        while index < len(names):
+            if self.live_only:
+                member = router._members.get(names[index])
+                if member is None or not member.alive:
+                    index += 1
+                    continue
+            else:
+                member = router._members[names[index]]
+            self.index = index
+            router._acquire(member, self.priority,
+                            partial(self._go, member))
+            return
+        issued = self.issued
+        if not issued:
+            self.then([])
+            return
+        self.remaining = len(issued)
+        for event in issued:
+            event._add_callback(self._answered)
+
+    def _go(self, member: ShardMember) -> None:
+        self.issued.append(self.router._member_io(
+            member, False, self.addr, self.payload, self.tenant))
+        self._issue_from(self.index + 1)
+
+    def _answered(self, _event: Event) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.then([event.value for event in self.issued])
+
+
+class _Io:
+    """The join of one router I/O: a counter over its fragments."""
+
+    __slots__ = ("router", "is_read", "done", "started", "results",
+                 "remaining")
+
+    def __init__(self, router: ShardRouter, is_read: bool, done: Event,
+                 parts: int):
+        self.router = router
+        self.is_read = is_read
+        self.done = done
+        self.started = router.env.now
+        self.results: List[Optional[CacheIoResult]] = [None] * parts
+        self.remaining = parts
+
+    def part_done(self, index: int, result: CacheIoResult) -> None:
+        self.results[index] = result
+        self.remaining -= 1
+        if self.remaining:
+            return
+        router = self.router
+        results = self.results
+        latency = router.env.now - self.started
+        failed = [r for r in results if not r.ok]
+        if failed:
+            self.done.succeed(CacheIoResult(
+                ok=False, error=failed[0].error, latency=latency))
+            return
+        if self.is_read:
+            if router._c_reads:
+                router._c_reads.inc()
+            if router._h_read_lat:
+                router._h_read_lat.observe(latency)
+            payload = (results[0].data if len(results) == 1
+                       else b"".join(r.data for r in results))
+            self.done.succeed(CacheIoResult(ok=True, data=payload,
+                                            latency=latency))
+        else:
+            if router._c_writes:
+                router._c_writes.inc()
+            if router._h_write_lat:
+                router._h_write_lat.observe(latency)
+            self.done.succeed(CacheIoResult(ok=True, latency=latency))
+
+
+class _FragmentRead:
+    """One fragment read, as a callback chain.
+
+    Tries the slot's read pool in order: a dead member is skipped and a
+    failed attempt moves on to the next one (both count as failovers),
+    handing ``then`` the first good result or the last failure.  With
+    hedging on, an attempt still unanswered after ``hedge_after_s``
+    issues a duplicate to the first later pool member with headroom (or
+    back to the same shard) and takes the first good answer, or the
+    second answer when the first failed; without headroom anywhere it
+    keeps waiting on the primary -- it never blocks for hedge capacity.
+    """
+
+    __slots__ = ("router", "pool", "index", "addr", "length", "then",
+                 "tenant", "priority", "result", "member", "copies",
+                 "pending", "timer")
+
+    def __init__(self, router: ShardRouter, slot: int, addr: int,
+                 length: int, then: Callable[[CacheIoResult], None],
+                 tenant: Optional[str], priority: int):
+        self.router = router
+        self.addr = addr
+        self.length = length
+        self.then = then
+        self.tenant = tenant
+        self.priority = priority
+        self.result = CacheIoResult(ok=False, error="no live shard for range")
+        router._record_access(slot)
+        self.pool = router._read_pool(slot)
+        self._attempt(0)
+
+    def _attempt(self, start: int) -> None:
+        router = self.router
+        pool = self.pool
+        for index in range(start, len(pool)):
+            member = router._members.get(pool[index])
+            if member is None or not member.alive:
+                continue
+            # Anything not served by the pool's first choice -- dead
+            # primary skipped or a failed attempt retried -- is a
+            # failover.
+            if index and router._c_failovers:
+                router._c_failovers.inc()
+            self.index = index
+            self.member = member
+            router._acquire(member, self.priority, self._issue)
+            return
+        self.then(self.result)
+
+    def _issue(self) -> None:
+        router = self.router
+        primary = router._member_io(self.member, True, self.addr,
+                                    self.length, self.tenant)
+        #: The attempt's unsettled copies (primary first, then the
+        #: hedge); empty once the attempt has settled.
+        self.copies: Tuple[Event, ...] = (primary,)
+        self.pending = 1
+        primary._add_callback(self._answered)
+        self.timer = None
+        if router.hedge_after_s is not None:
+            self.timer = router.env.timeout(router.hedge_after_s)
+            self.timer.callbacks = [self._hedge]
+
+    def _answered(self, event: Event) -> None:
+        if event not in self.copies:
+            return  # a settled attempt's other copy
+        result = event.value
+        if not result.ok and self.pending > 1:
+            self.pending -= 1  # the other copy may still answer
+            return
+        router = self.router
+        if result.ok and event is not self.copies[0] and router._c_hedge_wins:
+            router._c_hedge_wins.inc()
+        self.copies = ()
+        if result.ok:
+            self.then(result)
+        else:
+            self.result = result
+            self._attempt(self.index + 1)
+
+    def _hedge(self, event: Event) -> None:
+        if event is not self.timer or len(self.copies) != 1:
+            return
+        # Primary is slow: hedge to the first alternate with headroom,
+        # or back to the same shard (a duplicate behind a different
+        # queue slot) -- never block waiting for hedge capacity.
+        router = self.router
+        limit = router.max_inflight_per_shard
+        hedge_member = None
+        for name in self.pool[self.index + 1:]:
+            alt = router._members.get(name)
+            if alt is not None and alt.alive and alt.inflight < limit:
+                hedge_member = alt
+                break
+        member = self.member
+        if (hedge_member is None and member.alive
+                and member.inflight < limit):
+            hedge_member = member
+        if hedge_member is None:
+            return
+        if router._c_hedges:
+            router._c_hedges.inc()
+        self.pending = 2
+        router._acquire(hedge_member, self.priority,
+                        partial(self._issue_hedge, hedge_member))
+
+    def _issue_hedge(self, hedge_member: ShardMember) -> None:
+        hedge = self.router._member_io(hedge_member, True, self.addr,
+                                       self.length, self.tenant)
+        self.copies += (hedge,)
+        hedge._add_callback(self._answered)

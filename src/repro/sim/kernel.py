@@ -744,14 +744,27 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Inlined _arm_timeout: this factory runs once per simulated
-        # fabric/CPU hop -- the hottest allocation site in a measurement
-        # run -- so the freelist pop, slot re-init, and scheduling all
-        # happen in-frame.  Semantics are identical to Timeout(); the
-        # kernel tests and the scheduler-equivalence suite pin both
-        # entry points.
+        """A timeout that fires ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
+        return self.timeout_at(self._now + delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timeout that fires at the absolute simulated time ``when``.
+
+        ``when == now`` queues FIFO behind the work already due at this
+        instant; ``when < now`` raises.  Callback chains use it to fuse
+        consecutive stages into one kernel entry: ``timeout_at((now + a)
+        + b)`` lands on exactly the float that ``timeout(a)`` followed
+        by ``timeout(b)`` reaches.  This runs once per simulated
+        fabric/CPU stage -- the hottest allocation site -- so the
+        freelist pop, slot re-init and scheduling all happen in-frame
+        (the same steps as :func:`_arm_timeout`).
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(
+                f"timeout_at({when}) is in the past (now={now})")
         free = self._timeout_free
         if free:
             timeout = free.pop()
@@ -765,34 +778,31 @@ class Environment:
         timeout._processed = False
         timeout.on_abandon = None
         timeout._hb = None
+        delay = when - now
         timeout.delay = delay
         if self._use_heap:
             self._sequence += 1
-            heappush(self._heap, (self._now + delay, PRIORITY_NORMAL,
-                                  self._sequence, _EVENT_DISPATCH, timeout))
+            heappush(self._heap, (when, PRIORITY_NORMAL, self._sequence,
+                                  _EVENT_DISPATCH, timeout))
+        elif when == now:
+            self._immediate.append((_EVENT_DISPATCH, timeout))
         else:
-            now = self._now
-            when = now + delay
-            if when == now:
-                self._immediate.append((_EVENT_DISPATCH, timeout))
+            seq = self._sequence + 1
+            self._sequence = seq
+            entry = (when, PRIORITY_NORMAL, seq, _EVENT_DISPATCH, timeout)
+            if when < self._horizon:
+                heappush(self._near, entry)
             else:
-                seq = self._sequence + 1
-                self._sequence = seq
-                entry = (when, PRIORITY_NORMAL, seq, _EVENT_DISPATCH,
-                         timeout)
-                if when < self._horizon:
-                    heappush(self._near, entry)
-                else:
-                    self._far_insert(entry)
-                count = self._delay_count + 1
-                self._delay_count = count
-                self._delay_sum += delay
-                if self._width == 0.0:
-                    if count >= 128:
-                        self._calibrate()
-                elif count >= 8192:
-                    self._delay_sum *= 0.5
-                    self._delay_count = 4096
+                self._far_insert(entry)
+            count = self._delay_count + 1
+            self._delay_count = count
+            self._delay_sum += delay
+            if self._width == 0.0:
+                if count >= 128:
+                    self._calibrate()
+            elif count >= 8192:
+                self._delay_sum *= 0.5
+                self._delay_count = 4096
         monitor = self.monitor
         if monitor is not None:
             monitor.on_trigger(timeout)

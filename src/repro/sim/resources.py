@@ -173,6 +173,18 @@ class Resource:
         event.on_abandon = self._cancel_acquire
         return event
 
+    def try_acquire(self) -> bool:
+        """Non-blocking acquire: take a free slot now, or return False.
+
+        Callback chains use it to take an uncontended slot without a
+        kernel round trip; a False answer means queue with
+        :meth:`acquire` as usual.
+        """
+        if self._in_use < self.slots:
+            self._in_use += 1
+            return True
+        return False
+
     def _cancel_acquire(self, event: Event) -> None:
         try:
             self._waiters.remove(event)

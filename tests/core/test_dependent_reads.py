@@ -40,7 +40,7 @@ def make_stack(config, *, seed=0, metrics=None):
 def run_op(env, path, op):
     def proc(env):
         yield env.timeout(path.submission_overhead())
-        yield path.submit(op)
+        path.submit(op)
         result = yield op.completion
         return result, env.now
 
@@ -134,7 +134,7 @@ class TestEngineDependentReads:
             env.process(mover(env))
             op = dependent_op(env, token, size=256 * 1024)
             yield env.timeout(path.submission_overhead())
-            yield path.submit(op)
+            path.submit(op)
             return (yield op.completion)
 
         result = env.run_process(proc(env))

@@ -30,7 +30,7 @@ def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
 def run_op(env, path, op):
     def proc(env):
         yield env.timeout(path.submission_overhead())
-        yield path.submit(op)
+        path.submit(op)
         result = yield op.completion
         return result
 
@@ -74,7 +74,7 @@ class TestFunctionalDataPath:
                 op = EngineOp(is_read=False, size=4, token=token,
                               offset=i * 4, data=b"abcd",
                               completion=env.event())
-                yield path.submit(op, thread_index=0)
+                path.submit(op, thread_index=0)
                 ops.append(op)
             yield env.all_of([op.completion for op in ops])
 
@@ -159,7 +159,7 @@ class TestResponseTimeout:
         def scenario(env):
             op = EngineOp(is_read=True, size=8, token=tokens[0],
                           completion=env.event())
-            yield path.submit(op, thread_index=0)
+            path.submit(op, thread_index=0)
             # Let the request land (delivery ~2.4us), then kill the VM
             # mid-processing, before any response can be posted (~3.3us).
             yield env.timeout(2.6e-6)
@@ -183,7 +183,7 @@ class TestResponseTimeout:
                 op = EngineOp(is_read=False, size=8, token=tokens[0],
                               offset=i * 8, data=bytes([i]) * 8,
                               completion=env.event())
-                yield path.submit(op, thread_index=0)
+                path.submit(op, thread_index=0)
                 results.append((yield op.completion))
             # Run past every watchdog deadline: nothing double-fires.
             yield env.timeout(0.01)

@@ -47,12 +47,12 @@ def test_same_thread_writes_execute_in_program_order(config):
             op = EngineOp(is_read=False, size=8, token=token, offset=0,
                           data=value.to_bytes(8, "little"),
                           completion=env.event())
-            yield path.submit(op, thread_index=0)
+            path.submit(op, thread_index=0)
             ops.append(op)
         yield env.all_of([op.completion for op in ops])
         read = EngineOp(is_read=True, size=8, token=token, offset=0,
                         completion=env.event())
-        yield path.submit(read, thread_index=0)
+        path.submit(read, thread_index=0)
         result = yield read.completion
         return result.data
 
@@ -77,7 +77,7 @@ def test_completions_arrive_in_submission_order(config):
                           completion=env.event())
             op.completion._add_callback(
                 lambda ev, index=index: completed.append(index))
-            yield path.submit(op, thread_index=0)
+            path.submit(op, thread_index=0)
             ops.append(op)
         yield env.all_of([op.completion for op in ops])
 
@@ -99,8 +99,8 @@ def test_read_after_write_same_thread_sees_the_write():
             read = EngineOp(is_read=True, size=8, token=token, offset=32,
                             completion=env.event())
             # Submit both back to back WITHOUT waiting for the write.
-            yield path.submit(write, thread_index=0)
-            yield path.submit(read, thread_index=0)
+            path.submit(write, thread_index=0)
+            path.submit(read, thread_index=0)
             result = yield read.completion
             assert result.ok
             assert result.data == payload, round_index

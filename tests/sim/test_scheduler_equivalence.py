@@ -89,6 +89,19 @@ def _mixed_workload(env, rng, log):
             yield env.timeout(0.0)
             log.append(("zero", tag, index, env.now))
 
+    def absolute(tag, rounds):
+        # Fused stages on absolute timestamps (the callback data path's
+        # idiom), plus a callback chained straight off each timeout.
+        for index in range(rounds):
+            first = float(rng.integers(0, 20)) * 0.1 * US
+            second = float(rng.integers(0, 20)) * 0.1 * US
+            stage = env.timeout_at((env.now + first) + second)
+            stage._add_callback(
+                lambda ev, index=index: log.append(
+                    ("at-cb", tag, index, ev.env.now)))
+            yield stage
+            log.append(("at", tag, index, env.now))
+
     def victim(tag):
         try:
             yield env.timeout(1000 * US)
@@ -120,6 +133,9 @@ def _mixed_workload(env, rng, log):
     for index in range(int(rng.integers(1, 4))):
         env.process(gate_waiter(f"gw{index}"), name=f"gatewaiter{index}")
     env.process(zero_chain("z0", int(rng.integers(2, 8))), name="zerochain")
+    for index in range(int(rng.integers(1, 4))):
+        env.process(absolute(f"a{index}", int(rng.integers(2, 6))),
+                    name=f"absolute{index}")
     prey = env.process(victim("v0"), name="victim")
     env.process(interrupter(prey, 1.5 * US), name="interrupter")
     env.process(joiner("j0", env.process(sleeper("js", 3), name="joinee")),
