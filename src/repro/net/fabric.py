@@ -256,7 +256,8 @@ class Fabric:
 
     def link_utilization(self, endpoint_name: str) -> float:
         """Fraction of simulated time ``endpoint_name``'s tx link spent
-        serializing, from per-endpoint busy-seconds accounting."""
+        serializing, from per-endpoint busy-seconds accounting (a
+        message counts from the moment it reserves the link)."""
         endpoint = self._endpoints[endpoint_name]
         return endpoint.tx_busy_seconds / self.env.now if self.env.now else 0.0
 

@@ -11,7 +11,15 @@ import pytest
 
 from repro.faults import FaultInjector, FaultSchedule, SlowNode
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
+from repro.net import (
+    Fabric,
+    MemoryRegion,
+    Placement,
+    QueuePair,
+    RdmaOp,
+    WorkRequest,
+)
+from repro.net.programs import CAS_WORD_BYTES, VerbProgram
 from repro.sim import Environment, US
 
 
@@ -175,10 +183,7 @@ def test_verb_timeline_matches_chained_stage_sums(kind):
     """Each verb kind completes on exactly the float the per-stage
     timeouts of the §4 budget add up to, from a clock where float
     association matters."""
-    from repro.net import MemoryRegion, QueuePair, RdmaOp, WorkRequest
-    from repro.net.programs import CAS_WORD_BYTES, VerbProgram
-
-    env, fabric, client, server = make_link()
+    env, _fabric, client, server = make_link()
     nic = AZURE_HPC.nic
     region = server.register(MemoryRegion(1 << 16, backing=True))
     qp = QueuePair(env, client, server, max_depth=4)
@@ -204,6 +209,7 @@ def test_verb_timeline_matches_chained_stage_sums(kind):
                          data=b"\x01" * 8)
         expected = _stages(
             start, pm, nic.wire_time(2 * CAS_WORD_BYTES), flight,
+            # Service plus a context-cache penalty (0: no cache model).
             nic.program_step_latency + nic.dma_fetch(CAS_WORD_BYTES) + 0.0,
             nic.wire_time(CAS_WORD_BYTES), flight, nic.rx_dma)
     else:
