@@ -22,11 +22,7 @@ from repro.analysis.hb import RaceDetector, RaceFinding, Tracked
 from repro.analysis.linter import lint_paths, lint_source
 from repro.analysis.report import Finding, format_findings
 from repro.analysis.rules import RULES, Rule
-from repro.analysis.sanitize import (
-    DivergenceReport,
-    sanitize,
-    sanitize_schedulers,
-)
+from repro.analysis.sanitize import DivergenceReport, sanitize
 
 __all__ = [
     "DivergenceReport",
@@ -40,5 +36,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "sanitize",
-    "sanitize_schedulers",
 ]

@@ -33,8 +33,7 @@ from repro.analysis.report import Finding
 from repro.sim import kernel
 from repro.sim.rng import RngRegistry
 
-__all__ = ["DivergenceReport", "TraceRecorder", "WORKLOADS", "sanitize",
-           "sanitize_schedulers"]
+__all__ = ["DivergenceReport", "TraceRecorder", "WORKLOADS", "sanitize"]
 
 
 class TraceRecorder(KernelMonitor):
@@ -211,27 +210,20 @@ class DivergenceReport:
             })]
 
 
-def _record(workload: Callable[[int], Any], seed: int,
-            scheduler: Optional[str] = None) -> TraceRecorder:
+def _record(workload: Callable[[int], Any], seed: int) -> TraceRecorder:
     """Run ``workload(seed)`` once under full instrumentation.
 
     Every install here is paired with a ``finally`` restore so a raising
-    workload can never leak the recorder (or a scheduler override) into
-    the caller's process-wide state.
+    workload can never leak the recorder into the caller's process-wide
+    state.
     """
     recorder = TraceRecorder()
-    previous_scheduler = (kernel.set_default_scheduler(scheduler)
-                          if scheduler is not None else None)
+    previous = kernel.set_default_monitor(recorder)
     try:
-        previous = kernel.set_default_monitor(recorder)
-        try:
-            with _instrumented_rng(recorder):
-                workload(seed)
-        finally:
-            kernel.set_default_monitor(previous)
+        with _instrumented_rng(recorder):
+            workload(seed)
     finally:
-        if scheduler is not None:
-            kernel.set_default_scheduler(previous_scheduler)
+        kernel.set_default_monitor(previous)
     return recorder
 
 
@@ -316,25 +308,6 @@ def sanitize(workload: Callable[[int], Any], seed: int = 0,
     return _compare(run_a, run_b, seed, label, context_events)
 
 
-def sanitize_schedulers(workload: Callable[[int], Any], seed: int = 0,
-                        label: str = "workload",
-                        context_events: int = 5) -> DivergenceReport:
-    """Run ``workload(seed)`` under both kernel schedulers and diff.
-
-    Run A uses the binary heap, run B the calendar queue.  The contract
-    (DESIGN.md §5h) is that the event-list implementation is never
-    observable in event ordering, so the two traces must be
-    byte-identical -- same schedule, same RNG draw sequence.  A
-    divergence here is a calendar-queue ordering bug, not a workload
-    nondeterminism bug; the report's ``label`` is suffixed so the two
-    failure modes read differently in CI logs.
-    """
-    run_heap = _record(workload, seed, scheduler="heap")
-    run_calendar = _record(workload, seed, scheduler="calendar")
-    return _compare(run_heap, run_calendar, seed,
-                    f"{label}[heap-vs-calendar]", context_events)
-
-
 # ---------------------------------------------------------------------------
 # Named workloads for `python -m repro sanitize`
 # ---------------------------------------------------------------------------
@@ -375,7 +348,7 @@ def _workload_programs(seed: int) -> None:
 
     Exercises the one-RTT GET path end to end: program-scoped kernel
     events (one trigger -> resume edge per program, not per step) must
-    trace identically across runs and schedulers.
+    trace identically across runs.
     """
     from repro.core.config import RdmaConfig
     from repro.core.measurement import measure_config

@@ -6,24 +6,15 @@ The kernel follows the classic event-list design: an
 events.  When a yielded event fires, the process resumes with the event's
 value (or the event's exception is thrown into it).
 
-Two interchangeable schedulers implement the event list (selected per
-Environment, or process-wide via :func:`set_default_scheduler`):
-
-* ``"calendar"`` (default) -- a calendar/bucket queue tuned for the
-  clustered timestamps the fabric model produces.  Work due *now* lives
-  in plain FIFO deques (O(1) append/pop), the imminent horizon is a
-  small binary heap, and everything beyond it is hashed into
-  fixed-width time buckets that are promoted one at a time.  Bucket
-  width auto-calibrates from the observed timeout delays, and an
-  overflow list catches entries beyond the bucket window.
-* ``"heap"`` -- the original single binary heap, kept as the A/B
-  reference implementation for ``python -m repro kernelbench
-  --scheduler`` and the cross-scheduler replay gate.
-
-Scheduler choice is **not observable** in event ordering: both dispatch
-in exactly the same ``(when, priority, insertion-order)`` total order,
-which the scheduler-equivalence suite and ``repro sanitize`` verify
-trace-for-trace.
+The event list is one binary heap of future entries plus two FIFO
+deques for work due at the current instant (urgent and normal
+priority).  Same-instant work -- most of a run: event triggers,
+process bootstraps, zero-delay hand-offs -- is a deque append and pop
+that never touches the heap.  Entries dispatch in the ``(when,
+priority, insertion-order)`` total order; the dispatch-digest corpus
+(``tests/sim/test_scheduler_equivalence.py``) pins that order
+trace-for-trace.  Spent Event/Timeout/Process shells are recycled
+through per-class freelists.
 
 The feature set is intentionally small -- timeouts, one-shot events,
 processes, and interrupts -- because that is exactly what the higher
@@ -33,7 +24,7 @@ layers (RDMA fabric, cache engine, cluster allocator) need.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 try:
@@ -50,19 +41,11 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "set_default_monitor",
-    "set_default_scheduler",
 ]
 
 #: Monitor installed on every Environment created while set (see
 #: :func:`set_default_monitor`).  ``None`` keeps the kernel hook-free.
 _default_monitor: Optional[Any] = None
-
-#: Scheduler used by Environments that do not pass one explicitly.
-_default_scheduler: str = "calendar"
-
-#: Width of the far-bucket window: entries more than this many buckets
-#: past the window base land on the overflow list until re-bucketed.
-_CALENDAR_BUCKETS = 8192
 
 #: Per-class cap on the Event/Timeout/Process freelists.
 _FREELIST_MAX = 512
@@ -81,26 +64,6 @@ def set_default_monitor(monitor: Optional[Any]) -> Optional[Any]:
     global _default_monitor
     previous = _default_monitor
     _default_monitor = monitor
-    return previous
-
-
-def set_default_scheduler(scheduler: Optional[str]) -> str:
-    """Select the event-list implementation for new Environments.
-
-    ``"calendar"`` (the default) or ``"heap"``; ``None`` restores
-    ``"calendar"``.  Returns the previous default so callers can
-    restore it (the kernelbench A/B flag and the cross-scheduler
-    sanitize gate both wrap runs this way).  Existing Environments are
-    unaffected.
-    """
-    global _default_scheduler
-    if scheduler is None:
-        scheduler = "calendar"
-    if scheduler not in ("calendar", "heap"):
-        raise SimulationError(
-            f"unknown scheduler {scheduler!r}; expected 'calendar' or 'heap'")
-    previous = _default_scheduler
-    _default_scheduler = scheduler
     return previous
 
 
@@ -184,15 +147,10 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        # Inlined Environment scheduling: succeed() fires once per
-        # simulated operation, and the delay is always zero -- in
-        # calendar mode that is a plain deque append.
+        # Inlined Environment._call_soon: succeed() fires once per
+        # simulated operation, and it is a plain deque append.
         env = self.env
-        if env._use_heap:
-            env._sequence += 1
-            heappush(env._heap, (env._now, priority, env._sequence,
-                                 _EVENT_DISPATCH, self))
-        elif priority:
+        if priority:
             env._immediate.append((_EVENT_DISPATCH, self))
         else:
             env._urgent.append((_EVENT_DISPATCH, self))
@@ -213,7 +171,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env._enqueue(self, delay=0.0, priority=priority)
+        self.env._call_soon(_EVENT_DISPATCH, self, priority)
         monitor = self.env.monitor
         if monitor is not None:
             monitor.on_trigger(self)
@@ -260,68 +218,13 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        # Arm through the one arming path: Environment.timeout_at pops
+        # this shell straight back off the freelist.
         self.env = env
-        _arm_timeout(self, env, delay, value)
-
-
-def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
-                 value: Any) -> None:
-    """(Re)initialize ``timeout`` in its triggered state and schedule it.
-
-    Shared between :class:`Timeout` construction and the freelist reuse
-    path in :meth:`Environment.timeout`.  The delay is validated here,
-    once -- ``_enqueue`` trusts its (kernel-internal) callers -- and the
-    Event fields are written directly in their final triggered state
-    instead of calling ``Event.__init__`` and overwriting half of what
-    it set.  Timeouts *are* triggers (they are born with their value),
-    so an attached monitor receives ``on_trigger`` here exactly as it
-    does from ``succeed()``/``fail()`` -- this is what gives the
-    RaceDetector its trigger->resume happens-before edge on every
-    timeout-driven resume.
-    """
-    if delay < 0:
-        raise SimulationError(f"negative timeout delay: {delay}")
-    timeout.callbacks = None
-    timeout._value = value
-    timeout._ok = True
-    timeout._triggered = True
-    timeout._processed = False
-    timeout.on_abandon = None
-    timeout._hb = None
-    timeout.delay = delay
-    if env._use_heap:
-        env._sequence += 1
-        heappush(env._heap, (env._now + delay, PRIORITY_NORMAL,
-                             env._sequence, _EVENT_DISPATCH, timeout))
-    else:
-        now = env._now
-        when = now + delay
-        if when == now:
-            # Zero delay (or one too small to move the float clock):
-            # due at the current instant, FIFO behind earlier arrivals.
-            env._immediate.append((_EVENT_DISPATCH, timeout))
-        else:
-            env._sequence += 1
-            entry = (when, PRIORITY_NORMAL, env._sequence,
-                     _EVENT_DISPATCH, timeout)
-            if when < env._horizon:
-                heappush(env._near, entry)
-            else:
-                env._far_insert(entry)
-            # Track the running mean delay; it sets (and, via the decay,
-            # tracks drift in) the calendar bucket width.
-            count = env._delay_count + 1
-            env._delay_count = count
-            env._delay_sum += delay
-            if env._width == 0.0:
-                if count >= 128:
-                    env._calibrate()
-            elif count >= 8192:
-                env._delay_sum *= 0.5
-                env._delay_count = 4096
-    monitor = env.monitor
-    if monitor is not None:
-        monitor.on_trigger(timeout)
+        env._timeout_free.append(self)
+        env.timeout_at(env._now + delay, value)
 
 
 class Process(Event):
@@ -633,42 +536,15 @@ class AnyOf(_Combinator):
 class Environment:
     """Owns simulated time and the event list."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; "
-                f"expected 'calendar' or 'heap'")
-        #: Which event-list implementation this Environment runs on
-        #: (``"calendar"`` or ``"heap"``); fixed at construction.
-        self.scheduler = scheduler
-        self._use_heap = scheduler == "heap"
-        # -- heap scheduler state --
-        self._heap: list[tuple] = []
-        # -- calendar scheduler state --
         # Work due at the current instant: plain FIFO deques (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._urgent: deque = deque()     # PRIORITY_URGENT at `now`
         self._immediate: deque = deque()  # PRIORITY_NORMAL at `now`
-        # The imminent window [now, horizon): a small binary heap.
-        self._near: list[tuple] = []
-        # Beyond the horizon: fixed-width buckets keyed by
-        # int(when / width); `_far_keys` is a min-heap over the live
-        # bucket keys (each key pushed exactly once, at bucket creation).
-        self._far: dict[int, list[tuple]] = {}
-        self._far_keys: list[int] = []
-        # Entries past the bucket window wait here until a re-bucket.
-        self._overflow: list[tuple] = []
-        self._width = 0.0          # 0.0 = not yet calibrated
-        self._inv_width = 0.0
-        self._horizon = float("inf")
-        self._limit_key = 0
-        self._delay_sum = 0.0
-        self._delay_count = 0
-        # -- interned-struct freelists (fed by the calendar run loop) --
+        # Everything due later: one binary heap.
+        self._heap: list[tuple] = []
+        # -- interned-struct freelists (fed by the run loop) --
         self._event_free: list[Event] = []
         self._timeout_free: list[Timeout] = []
         self._process_free: list[Process] = []
@@ -712,16 +588,10 @@ class Environment:
         }
 
     def _pending_count(self) -> int:
-        if self._use_heap:
-            return len(self._heap)
-        return (len(self._urgent) + len(self._immediate) + len(self._near)
-                + sum(map(len, self._far.values())) + len(self._overflow))
+        return len(self._urgent) + len(self._immediate) + len(self._heap)
 
     def _has_pending(self) -> bool:
-        if self._use_heap:
-            return bool(self._heap)
-        return bool(self._urgent or self._immediate or self._near
-                    or self._far or self._overflow)
+        return bool(self._urgent or self._immediate or self._heap)
 
     # -- factories ---------------------------------------------------------
 
@@ -745,24 +615,35 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A timeout that fires ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # `not >=` (not `<`) so a NaN delay is rejected too.
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         return self.timeout_at(self._now + delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout that fires at the absolute simulated time ``when``.
 
         ``when == now`` queues FIFO behind the work already due at this
-        instant; ``when < now`` raises.  Callback chains use it to fuse
-        consecutive stages into one kernel entry: ``timeout_at((now + a)
-        + b)`` lands on exactly the float that ``timeout(a)`` followed
-        by ``timeout(b)`` reaches.  This runs once per simulated
+        instant; ``when < now`` (or NaN) raises.  Callback chains use it
+        to fuse consecutive stages into one kernel entry:
+        ``timeout_at((now + a) + b)`` lands on exactly the float that
+        ``timeout(a)`` followed by ``timeout(b)`` reaches.
+
+        This is the one place timeouts are armed (``env.timeout`` and
+        ``Timeout(...)`` both end here), and it runs once per simulated
         fabric/CPU stage -- the hottest allocation site -- so the
-        freelist pop, slot re-init and scheduling all happen in-frame
-        (the same steps as :func:`_arm_timeout`).
+        freelist pop, slot re-init and scheduling all happen in-frame.
+        The Event fields are written directly in their final triggered
+        state.  Timeouts *are* triggers (they are born with their
+        value), so an attached monitor receives ``on_trigger`` here
+        exactly as it does from ``succeed()``/``fail()`` -- this is what
+        gives the RaceDetector its trigger->resume happens-before edge
+        on every timeout-driven resume.
         """
         now = self._now
-        if when < now:
+        # `not >=` (not `<`): NaN compares false both ways, and a NaN
+        # entry would silently corrupt the heap order.
+        if not when >= now:
             raise SimulationError(
                 f"timeout_at({when}) is in the past (now={now})")
         free = self._timeout_free
@@ -778,31 +659,16 @@ class Environment:
         timeout._processed = False
         timeout.on_abandon = None
         timeout._hb = None
-        delay = when - now
-        timeout.delay = delay
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (when, PRIORITY_NORMAL, self._sequence,
-                                  _EVENT_DISPATCH, timeout))
-        elif when == now:
+        timeout.delay = when - now
+        if when == now:
+            # Zero delay (or one too small to move the float clock):
+            # due at the current instant, FIFO behind earlier arrivals.
             self._immediate.append((_EVENT_DISPATCH, timeout))
         else:
             seq = self._sequence + 1
             self._sequence = seq
-            entry = (when, PRIORITY_NORMAL, seq, _EVENT_DISPATCH, timeout)
-            if when < self._horizon:
-                heappush(self._near, entry)
-            else:
-                self._far_insert(entry)
-            count = self._delay_count + 1
-            self._delay_count = count
-            self._delay_sum += delay
-            if self._width == 0.0:
-                if count >= 128:
-                    self._calibrate()
-            elif count >= 8192:
-                self._delay_sum *= 0.5
-                self._delay_count = 4096
+            heappush(self._heap,
+                     (when, PRIORITY_NORMAL, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
             monitor.on_trigger(timeout)
@@ -852,154 +718,37 @@ class Environment:
     # bootstrap schedule plain bound/class methods instead of allocating
     # a closure per call.
     #
-    # In calendar mode, entries due at the current instant skip the
-    # sequence counter entirely and land on the FIFO deques: nothing
-    # already queued for `now` can carry a larger timestamp, a lower
-    # priority value lives on its own deque, and FIFO order *is*
-    # insertion order -- so the (when, priority, sequence) total order
-    # is preserved without a single comparison.  Only future entries
-    # pay for a sequence number and a near-heap push or far-bucket
-    # append.  The scheduler-equivalence suite pins this ordering
-    # against the reference heap.
-
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        # Delay is validated by the callers that can produce a negative
-        # one (_arm_timeout); succeed()/fail() always pass 0.0.
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (self._now + delay, priority,
-                                  self._sequence, _EVENT_DISPATCH, event))
-            return
-        when = self._now + delay
-        if when == self._now:
-            if priority:
-                self._immediate.append((_EVENT_DISPATCH, event))
-            else:
-                self._urgent.append((_EVENT_DISPATCH, event))
-            return
-        self._sequence += 1
-        entry = (when, priority, self._sequence, _EVENT_DISPATCH, event)
-        if when < self._horizon:
-            heappush(self._near, entry)
-        else:
-            self._far_insert(entry)
+    # Entries due at the current instant skip the sequence counter
+    # entirely and land on the FIFO deques: nothing already queued for
+    # `now` can carry a larger timestamp, a lower priority value lives
+    # on its own deque, and FIFO order *is* insertion order -- so the
+    # (when, priority, sequence) total order is preserved without a
+    # single comparison.  Only future entries pay for a sequence number
+    # and a heap push.  The dispatch-digest corpus pins this ordering.
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any,
                    priority: int = PRIORITY_NORMAL) -> None:
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap,
-                     (self._now, priority, self._sequence, fn, arg))
-        elif priority:
+        if priority:
             self._immediate.append((fn, arg))
         else:
             self._urgent.append((fn, arg))
-
-    # -- calendar-queue internals ------------------------------------------
-
-    def _far_insert(self, entry: tuple) -> None:
-        key = int(entry[0] * self._inv_width)
-        if key >= self._limit_key:
-            self._overflow.append(entry)
-            return
-        bucket = self._far.get(key)
-        if bucket is None:
-            self._far[key] = [entry]
-            heappush(self._far_keys, key)
-        else:
-            bucket.append(entry)
-
-    def _calibrate(self) -> None:
-        """First-time bucket sizing from the observed mean delay.
-
-        Runs once, after enough timeout delays have been sampled.  The
-        far buckets are empty by construction here (the horizon was
-        infinite), so only the near heap needs care: the horizon is
-        placed past its maximum entry, keeping the invariant that near
-        entries sort strictly below everything bucketed.
-        """
-        width = self._delay_sum / self._delay_count
-        if width < 1e-12:
-            width = 1e-12
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        top = self._now
-        near = self._near
-        if near:
-            top_near = max(entry[0] for entry in near)
-            if top_near > top:
-                top = top_near
-        base = int(top * inv) + 1
-        self._horizon = base * width
-        self._limit_key = base + _CALENDAR_BUCKETS
-
-    def _promote(self) -> bool:
-        """Refill the (empty) near heap from the calendar.
-
-        Pops the earliest far bucket into the near heap and advances the
-        horizon to that bucket's end; every remaining bucketed entry is
-        at or past the new horizon, so near stays the authoritative
-        front of the timeline.  When the buckets are exhausted too, the
-        overflow list is re-bucketed around its earliest entry (also
-        refreshing the width from the delay statistics, which is safe
-        exactly then: there are no bucketed entries left to remap).
-        Returns False when there is no timed work left at all.
-        """
-        while True:
-            keys = self._far_keys
-            if keys:
-                key = heappop(keys)
-                bucket = self._far.pop(key)
-                near = self._near
-                near.extend(bucket)
-                if len(near) > 1:
-                    heapify(near)
-                self._horizon = (key + 1.0) * self._width
-                return True
-            if not self._overflow:
-                return False
-            self._rebucket()
-
-    def _rebucket(self) -> None:
-        entries = self._overflow
-        self._overflow = []
-        if self._delay_count:
-            width = self._delay_sum / self._delay_count
-        else:  # pragma: no cover - overflow implies sampled delays
-            width = self._width
-        if width < 1e-12:
-            width = 1e-12
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        base = int(min(entry[0] for entry in entries) * inv)
-        self._horizon = base * width
-        self._limit_key = base + _CALENDAR_BUCKETS
-        insert = self._far_insert
-        for entry in entries:
-            insert(entry)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
         """Process the next entry on the event list."""
-        if self._use_heap:
-            if not self._heap:
-                raise SimulationError("step() on an empty event list")
-            when, _priority, _seq, fn, arg = heappop(self._heap)
-            self._now = when
-        elif self._urgent:
+        heap = self._heap
+        if self._urgent:
             fn, arg = self._urgent.popleft()
-        elif self._near and self._near[0][0] <= self._now:
-            _when, _priority, _seq, fn, arg = heappop(self._near)
+        elif heap and heap[0][0] <= self._now:
+            _when, _priority, _seq, fn, arg = heappop(heap)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
         else:
-            if not self._near and not self._promote():
+            if not heap:
                 raise SimulationError("step() on an empty event list")
-            self._now = self._near[0][0]
-            _when, _priority, _seq, fn, arg = heappop(self._near)
+            self._now = heap[0][0]
+            _when, _priority, _seq, fn, arg = heappop(heap)
         self._steps += 1
         if fn is _EVENT_DISPATCH:
             self._events_processed += 1
@@ -1013,26 +762,21 @@ class Environment:
         ``until`` is an absolute timestamp; when reached, ``now`` is set to
         exactly ``until`` so callers can resume cleanly.
 
-        The dispatch loops inline :meth:`step` (same semantics, verified
-        by the kernel tests and the scheduler-equivalence suite): this
-        is 75% of a measurement run, and the per-entry method call,
+        The dispatch loop inlines :meth:`step` (same semantics, verified
+        by the kernel tests and the dispatch-digest corpus): this is 75%
+        of a measurement run, and the per-entry method call,
         bound-counter updates, and re-checked ``until`` guard are
         measurable at tens of thousands of steps per simulated second.
         Loop statistics accumulate in locals and are flushed even when a
         handler raises.
         """
-        if until is not None and until < self._now:
+        # `not >=` (not `<`) so a NaN `until` is rejected too.
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})")
-        if self._use_heap:
-            self._run_heap(until)
-        else:
-            self._run_calendar(until)
-
-    def _run_calendar(self, until: Optional[float]) -> None:
         urgent = self._urgent
         immediate = self._immediate
-        near = self._near  # alias stays valid: _promote mutates in place
+        heap = self._heap
         dispatch = _EVENT_DISPATCH
         event_free = self._event_free
         timeout_free = self._timeout_free
@@ -1054,23 +798,23 @@ class Environment:
                 # Drain everything due at the current instant.  Order:
                 # urgent deque first (urgent entries only ever arise at
                 # the current instant, and priority outranks sequence),
-                # then near-heap entries that have come due (scheduled
-                # for this instant *before* the clock reached it, so
-                # their sequence numbers are smaller than anything a
-                # callback appends to the deques now), then the normal
-                # deque.  Same-timestamp events batch through here
-                # without touching a heap.
+                # then heap entries that have come due (scheduled for
+                # this instant *before* the clock reached it, so their
+                # sequence numbers are smaller than anything a callback
+                # appends to the deques now), then the normal deque.
+                # Same-timestamp events batch through here without
+                # touching the heap.
                 #
-                # Phase A: near entries that have come due, with urgent
-                # preemption.  Once the near heap holds nothing <= now
-                # it cannot regain it this instant -- entries scheduled
-                # *at* `now` go to the deques, never to near -- so
+                # Phase A: heap entries that have come due, with urgent
+                # preemption.  Once the heap holds nothing <= now it
+                # cannot regain it this instant -- entries scheduled
+                # *at* `now` go to the deques, never to the heap -- so
                 # phase B drains the deques without re-checking it.
-                while near and near[0][0] <= now:
+                while heap and heap[0][0] <= now:
                     if urgent:
                         fn, arg = pop_urgent()
                     else:
-                        _when, _priority, _seq, fn, arg = pop_heap(near)
+                        _when, _priority, _seq, fn, arg = pop_heap(heap)
                     steps += 1
                     if fn is dispatch:
                         # Inlined Event._run_callbacks (the overwhelmingly
@@ -1139,59 +883,16 @@ class Environment:
                     else:
                         fn(arg)
                 # Advance simulated time to the next scheduled entry.
-                if not near and not self._promote():
+                if not heap:
                     if until is not None:
                         self._now = until
                     return
-                when = near[0][0]
+                when = heap[0][0]
                 if until is not None and when > until:
                     self._now = until
                     return
                 now = when
                 self._now = when
-        finally:
-            self._steps += steps
-            self._events_processed += events
-            self._immediate_calls += steps - events
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        # The original single-heap dispatch loop, kept verbatim as the
-        # A/B reference scheduler.
-        heap = self._heap
-        dispatch = _EVENT_DISPATCH
-        steps = events = 0
-        try:
-            if until is None:
-                while heap:
-                    when, _priority, _seq, fn, arg = heappop(heap)
-                    self._now = when
-                    steps += 1
-                    if fn is dispatch:
-                        events += 1
-                        arg._processed = True
-                        callbacks = arg.callbacks
-                        if callbacks is not None:
-                            arg.callbacks = None
-                            for callback in callbacks:
-                                callback(arg)
-                    else:
-                        fn(arg)
-                return
-            while heap and heap[0][0] <= until:
-                when, _priority, _seq, fn, arg = heappop(heap)
-                self._now = when
-                steps += 1
-                if fn is dispatch:
-                    events += 1
-                    arg._processed = True
-                    callbacks = arg.callbacks
-                    if callbacks is not None:
-                        arg.callbacks = None
-                        for callback in callbacks:
-                            callback(arg)
-                else:
-                    fn(arg)
-            self._now = until
         finally:
             self._steps += steps
             self._events_processed += events

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import sanitize, sanitize_schedulers
+from repro.analysis import sanitize
 from repro.analysis.sanitize import WORKLOADS, _DEMO_LEAK, _record
 from repro.sim import kernel
 from repro.sim.kernel import Environment
@@ -130,37 +130,11 @@ def _raising_workload(seed):
 
 def test_monitor_restored_when_workload_raises():
     # Exception safety: a raising workload must not leak the recorder
-    # (or an RNG wrapper, or a scheduler override) into process state.
+    # (or an RNG wrapper) into process state.
     with pytest.raises(RuntimeError, match="workload blew up"):
         _record(_raising_workload, seed=0)
     assert kernel.set_default_monitor(None) is None
     assert RngRegistry.stream.__qualname__ == "RngRegistry.stream"
-
-
-def test_scheduler_restored_when_workload_raises():
-    before = kernel.set_default_scheduler(None)  # pin a known default
-    try:
-        with pytest.raises(RuntimeError):
-            _record(_raising_workload, seed=0, scheduler="heap")
-        assert kernel.set_default_scheduler(None) == "calendar"
-        assert kernel.set_default_monitor(None) is None
-    finally:
-        kernel.set_default_scheduler(before)
-
-
-def test_cross_scheduler_gate_on_clean_workload():
-    report = sanitize_schedulers(_deterministic_workload, seed=3,
-                                 label="det")
-    assert report.deterministic
-    assert report.label == "det[heap-vs-calendar]"
-    assert report.events_a == report.events_b > 0
-
-
-def test_cross_scheduler_gate_on_measurement_path():
-    report = sanitize_schedulers(WORKLOADS["measure"], seed=0,
-                                 label="measure")
-    assert report.deterministic
-    assert report.events_a > 500
 
 
 def test_report_describe_mentions_both_runs():

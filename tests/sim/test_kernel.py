@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, US
+from repro.sim import Environment, Interrupt, SimulationError, Timeout, US
 
 
 def test_timeout_advances_clock():
@@ -48,6 +48,32 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+def test_nan_timeout_rejected():
+    # NaN passes a `delay < 0` guard; once queued it would poison the
+    # clock and the heap order, so it must be refused up front.
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    with pytest.raises(SimulationError):
+        Timeout(env, float("nan"))
+    fired = []
+    for delay in (2 * US, 1 * US, 3 * US):
+        env.timeout(delay)._add_callback(
+            lambda _e, delay=delay: fired.append((delay, env.now)))
+    env.run()
+    assert fired == [(1 * US, 1 * US), (2 * US, 2 * US), (3 * US, 3 * US)]
+
+
+def test_nan_run_until_rejected():
+    env = Environment()
+    env.timeout(1 * US)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    env.run()
+    assert env.now == 1 * US
 
 
 def test_event_succeed_delivers_value():

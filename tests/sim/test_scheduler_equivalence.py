@@ -1,38 +1,41 @@
-"""Scheduler-equivalence suite: calendar queue vs the reference heap.
+"""Dispatch-order corpus: the kernel against recorded digests.
 
-The calendar queue (DESIGN.md §5h) is a pure wall-clock optimization:
-the ``(when, priority, sequence)`` dispatch order must be *identical*
-to the binary heap's, byte for byte, on any workload.  These tests pin
-that property the strong way -- randomized workloads exercising every
-kernel primitive run once per scheduler under a full trace recorder,
-and the traces, application logs, clocks, and event-loop statistics
-must all match exactly.
+The kernel dispatches in the ``(when, priority, sequence)`` total order
+(DESIGN.md §5h), and every simulated number in the repository rests on
+that order.  These tests pin it the strong way: randomized workloads
+exercising every kernel primitive run under a full trace recorder, and
+the SHA-256 of ``(trace, log, now, event_loop_stats)`` must equal the
+digest recorded in ``dispatch_digests.json``.
+
+The corpus was recorded from two independent event-list
+implementations -- a single binary heap and a calendar queue -- that
+agreed on every case, so it pins the order itself rather than one
+implementation of it.  A kernel change that moves a digest changes the
+dispatch order: re-record (each entry is ``digest(_<kind>(seed))``)
+only when that is intended, and say why.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.sanitize import TraceRecorder
-from repro.sim import (
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-    US,
-    set_default_scheduler,
-)
+from repro.sim import Environment, Interrupt, Resource, Store, US
 
-SCHEDULERS = ("heap", "calendar")
+DIGESTS = json.loads(
+    Path(__file__).with_name("dispatch_digests.json").read_text())
 
 
 def _mixed_workload(env, rng, log):
     """Spawn a randomized tangle of every kernel primitive.
 
     All randomness is drawn from ``rng`` (seeded by the caller), partly
-    at build time and partly inside running processes; if the two
-    schedulers ever dispatched differently, the in-process draws would
-    diverge too and the logs would disagree loudly.
+    at build time and partly inside running processes; if the kernel
+    ever dispatched in a different order, the in-process draws would
+    diverge too and the log (and so the digest) would change loudly.
     """
     store = Store(env)
     resource = Resource(env, slots=2)
@@ -142,12 +145,13 @@ def _mixed_workload(env, rng, log):
                 name="joiner")
 
 
-def _run_traced(scheduler, seed, until=None):
-    env = Environment(scheduler=scheduler)
+def _traced(build, until=None):
+    """Run ``build(env, log)`` under a trace recorder, then ``run(until)``."""
+    env = Environment()
     recorder = TraceRecorder()
     env.monitor = recorder
     log = []
-    _mixed_workload(env, np.random.default_rng(seed), log)
+    build(env, log)
     env.run(until=until)
     # Detach before the env is dropped: when a run stops at `until`
     # with processes still suspended, gc later closes their generators
@@ -157,104 +161,117 @@ def _run_traced(scheduler, seed, until=None):
     return list(recorder.entries), log, env.now, env.event_loop_stats()
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_random_workloads_dispatch_identically(seed):
-    trace_h, log_h, now_h, stats_h = _run_traced("heap", seed)
-    trace_c, log_c, now_c, stats_c = _run_traced("calendar", seed)
-    assert trace_h == trace_c
-    assert log_h == log_c
-    assert now_h == now_c
-    assert stats_h == stats_c
-    assert stats_h["events"] > 50  # the workload actually did something
+def _random(seed):
+    return _traced(lambda env, log: _mixed_workload(
+        env, np.random.default_rng(seed), log))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_run_until_boundary_identical(seed):
-    # Stopping mid-run at an arbitrary boundary must leave both
-    # schedulers at the same clock with the same pending population.
-    results = {}
-    for scheduler in SCHEDULERS:
-        results[scheduler] = _run_traced(scheduler, seed, until=1.7 * US)
-    trace_h, log_h, now_h, stats_h = results["heap"]
-    trace_c, log_c, now_c, stats_c = results["calendar"]
-    assert trace_h == trace_c
-    assert log_h == log_c
-    assert now_h == now_c == pytest.approx(1.7 * US)
-    assert stats_h == stats_c
+def _until(seed):
+    # Stopping mid-run at an arbitrary boundary: the clock and the
+    # pending population at the stop are part of the digest.
+    return _traced(lambda env, log: _mixed_workload(
+        env, np.random.default_rng(seed), log), until=1.7 * US)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_reentrant_run_identical(seed):
-    # run(until), spawn more work, run() again: the calendar queue's
-    # carried-over state (near heap, far buckets, deques) must resume
-    # exactly where the heap would.
-    def staged(scheduler):
-        env = Environment(scheduler=scheduler)
-        recorder = TraceRecorder()
-        env.monitor = recorder
-        log = []
-        rng = np.random.default_rng(seed)
-        _mixed_workload(env, rng, log)
-        env.run(until=2 * US)
-        _mixed_workload(env, rng, log)  # second wave, mid-flight
-        env.run()
-        env.monitor = None  # see _run_traced: keep gc teardown out
-        return list(recorder.entries), log, env.now, env.event_loop_stats()
-
-    assert staged("heap") == staged("calendar")
+def _reentrant(seed):
+    # run(until), spawn more work, run() again: the event list carried
+    # over between runs must resume in the same order.
+    env = Environment()
+    recorder = TraceRecorder()
+    env.monitor = recorder
+    log = []
+    rng = np.random.default_rng(seed)
+    _mixed_workload(env, rng, log)
+    env.run(until=2 * US)
+    _mixed_workload(env, rng, log)  # second wave, mid-flight
+    env.run()
+    env.monitor = None  # see _traced: keep gc teardown out
+    return list(recorder.entries), log, env.now, env.event_loop_stats()
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_wide_delay_spread_identical(seed):
-    # Log-uniform delays over 12 decades force calibration, far-bucket
-    # inserts, overflow parking, and re-bucketing -- every structural
-    # path in the calendar queue -- while the heap just... heaps.
-    def spread(scheduler):
-        env = Environment(scheduler=scheduler)
-        rng = np.random.default_rng(seed)
-        fired = []
+def _untraced(build):
+    """Like :func:`_traced` but without a recorder: its process table
+    would pin every spent Process and keep it off the freelist."""
+    env = Environment()
+    log = []
+    build(env, log)
+    env.run()
+    return [], log, env.now, env.event_loop_stats()
 
+
+def _spread(seed):
+    # Log-uniform delays over 12 decades, all in one event list.
+    def build(env, fired):
         def waiter(tag, delay):
             yield env.timeout(delay)
             fired.append((tag, env.now))
 
-        delays = 10.0 ** rng.uniform(-9.0, 3.0, size=600)
+        delays = 10.0 ** np.random.default_rng(seed).uniform(
+            -9.0, 3.0, size=600)
         for tag, delay in enumerate(delays):
             env.process(waiter(tag, float(delay)), name=f"w{tag}")
-        env.run()
-        return fired, env.now, env.event_loop_stats()
 
-    assert spread("heap") == spread("calendar")
+    return _untraced(build)
 
 
-def test_equal_timestamps_keep_creation_order():
-    # Thousands of entries at identical timestamps: the tie-break is
-    # the scheduling sequence number, which the calendar deques encode
-    # as FIFO order.  Any instability shows up as a permutation here.
-    def burst(scheduler):
-        env = Environment(scheduler=scheduler)
-        fired = []
-
+def _tie():
+    # 500 entries on five timestamps: the tie-break is the scheduling
+    # sequence number, so any instability shows up as a permutation.
+    def build(env, fired):
         def waiter(tag, delay):
             yield env.timeout(delay)
             fired.append(tag)
 
         for tag in range(500):
             env.process(waiter(tag, (tag % 5) * US), name=f"b{tag}")
-        env.run()
-        return fired
 
-    order_heap = burst("heap")
-    assert order_heap == burst("calendar")
-    assert sorted(order_heap) == list(range(500))
+    return _untraced(build)
+
+
+def digest(result):
+    """SHA-256 of a case's ``(trace, log, now, event_loop_stats)``."""
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_workloads_dispatch_identically(seed):
+    result = _random(seed)
+    assert result[3]["events"] > 50  # the workload actually did something
+    assert digest(result) == DIGESTS[f"random/{seed}"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_until_boundary_identical(seed):
+    result = _until(seed)
+    assert result[2] == pytest.approx(1.7 * US)
+    assert digest(result) == DIGESTS[f"until/{seed}"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reentrant_run_identical(seed):
+    assert digest(_reentrant(seed)) == DIGESTS[f"reentrant/{seed}"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_delay_spread_identical(seed):
+    result = _spread(seed)
+    times = [now for _tag, now in result[1]]
+    assert len(times) == 600 and times == sorted(times)
+    assert digest(result) == DIGESTS[f"spread/{seed}"]
+
+
+def test_equal_timestamps_keep_creation_order():
+    result = _tie()
+    assert sorted(result[1]) == list(range(500))
+    assert digest(result) == DIGESTS["tie"]
 
 
 def test_freelist_reuse_preserves_event_payloads():
-    # The calendar run loop recycles processed Event/Timeout shells
-    # through freelists.  Reuse must be invisible: every wait gets the
-    # value that was armed for it, never a stale slot from a previous
+    # The run loop recycles processed Event/Timeout shells through
+    # freelists.  Reuse must be invisible: every wait gets the value
+    # that was armed for it, never a stale slot from a previous
     # occupant.
-    env = Environment(scheduler="calendar")
+    env = Environment()
     received = []
 
     def looper():
@@ -272,32 +289,3 @@ def test_freelist_reuse_preserves_event_payloads():
         expected.append(("payload", index))
         expected.append(index * 3)
     assert received == expected
-
-
-def test_scheduler_choice_is_constructor_fixed():
-    previous = set_default_scheduler("heap")
-    try:
-        env = Environment()
-        assert env.scheduler == "heap"
-        # Changing the default later must not retarget a live env.
-        set_default_scheduler("calendar")
-        assert env.scheduler == "heap"
-        assert Environment().scheduler == "calendar"
-    finally:
-        set_default_scheduler(previous)
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay-tree")
-    with pytest.raises(SimulationError):
-        set_default_scheduler("splay-tree")
-
-
-def test_set_default_scheduler_returns_previous():
-    first = set_default_scheduler("heap")
-    try:
-        assert set_default_scheduler(None) == "heap"  # None restores
-        assert Environment().scheduler == "calendar"
-    finally:
-        set_default_scheduler(first)

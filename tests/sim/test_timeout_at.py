@@ -3,7 +3,6 @@
 Callback chains fuse consecutive stages into one kernel entry with it,
 so it must land on exactly the float a chain of relative timeouts
 reaches, and order against same-instant work exactly like ``timeout``.
-Every test runs under both schedulers.
 """
 
 import numpy as np
@@ -11,12 +10,9 @@ import pytest
 
 from repro.sim import Environment, SimulationError, US
 
-SCHEDULERS = ("heap", "calendar")
 
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_past_timestamp_rejected(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_past_timestamp_rejected():
+    env = Environment()
     env.run(until=2 * US)
     with pytest.raises(SimulationError):
         env.timeout_at(1 * US)
@@ -24,9 +20,18 @@ def test_past_timestamp_rejected(scheduler):
         env.timeout_at(env.now - 1e-18)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_fires_at_exactly_when(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_nan_timestamp_rejected():
+    # NaN compares false against everything, so a `when < now` guard
+    # would let it through and it would land on the heap out of order.
+    env = Environment()
+    env.run(until=2 * US)
+    with pytest.raises(SimulationError):
+        env.timeout_at(float("nan"))
+    assert env.event_loop_stats()["pending"] == 0
+
+
+def test_fires_at_exactly_when():
+    env = Environment()
     seen = []
 
     def proc(env):
@@ -39,9 +44,8 @@ def test_fires_at_exactly_when(scheduler):
     assert seen == [(1.7 * US, "v")]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_now_is_fifo_behind_work_already_due(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_now_is_fifo_behind_work_already_due():
+    env = Environment()
     order = []
 
     def proc(env):
@@ -56,10 +60,9 @@ def test_now_is_fifo_behind_work_already_due(scheduler):
     assert order == ["relative", "absolute", "after"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_future_instant_is_fifo_behind_earlier_entries(scheduler):
+def test_future_instant_is_fifo_behind_earlier_entries():
     """Entries scheduled earlier for the same instant fire first."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     order = []
     env.timeout(2 * US)._add_callback(lambda _e: order.append("early"))
 
@@ -75,12 +78,11 @@ def test_future_instant_is_fifo_behind_earlier_entries(scheduler):
     assert order == ["early", "late", "relative"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_fused_stages_match_chained_timeouts(scheduler):
+def test_fused_stages_match_chained_timeouts():
     """``timeout(a); timeout(b)`` and ``timeout_at((now + a) + b)`` land
     on the same float, for awkward starting clocks and delays."""
     rng = np.random.default_rng(7)
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     chained, fused = {}, {}
     pairs = [(float(rng.random()) * 3 * US, float(rng.random()) * 3 * US)
              for _ in range(300)]
