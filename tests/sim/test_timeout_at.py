@@ -3,6 +3,10 @@
 Callback chains fuse consecutive stages into one kernel entry with it,
 so it must land on exactly the float a chain of relative timeouts
 reaches, and order against same-instant work exactly like ``timeout``.
+Every test except the NaN one runs on two event-list shapes: ``heap``,
+where the test's own entries are all that is queued, and ``calendar``,
+where they sit among a dense calendar of background timers sharing
+their instants, so each push and pop sifts through a deep heap.
 """
 
 import numpy as np
@@ -11,8 +15,20 @@ import pytest
 from repro.sim import Environment, SimulationError, US
 
 
-def test_past_timestamp_rejected():
+@pytest.fixture(params=("heap", "calendar"))
+def env(request):
     env = Environment()
+    if request.param == "calendar":
+        # Callback-free timers on a 0.05 us grid over [0, 2 us]: they
+        # share the instants the tests use, and end no later than the
+        # last instant a test asserts the clock at.
+        rng = np.random.default_rng(11)
+        for step in rng.integers(0, 41, size=2000):
+            env.timeout(int(step) * 0.05 * US)
+    return env
+
+
+def test_past_timestamp_rejected(env):
     env.run(until=2 * US)
     with pytest.raises(SimulationError):
         env.timeout_at(1 * US)
@@ -30,8 +46,7 @@ def test_nan_timestamp_rejected():
     assert env.event_loop_stats()["pending"] == 0
 
 
-def test_fires_at_exactly_when():
-    env = Environment()
+def test_fires_at_exactly_when(env):
     seen = []
 
     def proc(env):
@@ -44,8 +59,7 @@ def test_fires_at_exactly_when():
     assert seen == [(1.7 * US, "v")]
 
 
-def test_now_is_fifo_behind_work_already_due():
-    env = Environment()
+def test_now_is_fifo_behind_work_already_due(env):
     order = []
 
     def proc(env):
@@ -60,9 +74,8 @@ def test_now_is_fifo_behind_work_already_due():
     assert order == ["relative", "absolute", "after"]
 
 
-def test_future_instant_is_fifo_behind_earlier_entries():
+def test_future_instant_is_fifo_behind_earlier_entries(env):
     """Entries scheduled earlier for the same instant fire first."""
-    env = Environment()
     order = []
     env.timeout(2 * US)._add_callback(lambda _e: order.append("early"))
 
@@ -78,11 +91,10 @@ def test_future_instant_is_fifo_behind_earlier_entries():
     assert order == ["early", "late", "relative"]
 
 
-def test_fused_stages_match_chained_timeouts():
+def test_fused_stages_match_chained_timeouts(env):
     """``timeout(a); timeout(b)`` and ``timeout_at((now + a) + b)`` land
     on the same float, for awkward starting clocks and delays."""
     rng = np.random.default_rng(7)
-    env = Environment()
     chained, fused = {}, {}
     pairs = [(float(rng.random()) * 3 * US, float(rng.random()) * 3 * US)
              for _ in range(300)]
