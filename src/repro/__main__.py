@@ -128,12 +128,15 @@ def cmd_metrics(identifier: str | None, as_json: bool,
     from repro.core.config import RdmaConfig
     from repro.core.measurement import measure_config
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.kernel import Environment
 
     registry = MetricsRegistry()
+    env = Environment()
     config = RdmaConfig(threads, 0, 1, queue_depth)
     result = measure_config(config, 8, seed=7, metrics=registry,
-                            batches_per_connection=batches)
-    blob = snapshot(registry, name="metrics-demo",
+                            batches_per_connection=batches, env=env)
+    # The live demo shows the kernel's own work too (`event_loop`).
+    blob = snapshot(registry, name="metrics-demo", env=env,
                     extra={"config": repr(config),
                            "throughput_ops": result.throughput,
                            "latency_p50": result.latency_p50,
@@ -214,7 +217,9 @@ def cmd_kernelbench(rounds: int, batches: int,
 
     Runs the same instrumented ``measure_config`` call the sweep hot
     path is made of and prints kernel steps per wall-clock second -- the
-    number CI logs so step-loop regressions are visible.
+    number CI logs so step-loop regressions are visible -- and events
+    per step, the share of entries that dispatched an Event rather
+    than a plain call.
     ``--min-steps-per-sec`` turns the run into a CI gate: exit 1 if the
     best rate falls below the floor.
     """
@@ -223,22 +228,25 @@ def cmd_kernelbench(rounds: int, batches: int,
     from repro.core.config import RdmaConfig
     from repro.core.measurement import measure_config
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.kernel import Environment
 
     config = RdmaConfig(4, 4, 16, 8)
     best = 0.0
     for index in range(rounds):
-        registry = MetricsRegistry()
+        env = Environment()
         started = perf_counter()  # repro-lint: disable=D001 -- wall-clock benchmark harness, result never reaches sim state
         measure_config(config, 16, read_fraction=0.5,
                        batches_per_connection=batches,
                        warmup_batches=max(1, batches // 4),
-                       seed=11, metrics=registry)
+                       seed=11, metrics=MetricsRegistry(), env=env)
         elapsed = perf_counter() - started  # repro-lint: disable=D001 -- wall-clock benchmark harness
-        steps = registry.gauge("kernel.steps").value
+        loop = env.event_loop_stats()
+        steps = loop["steps"]
         rate = steps / elapsed
         best = max(best, rate)
-        print(f"round {index}: {steps:,.0f} steps in "
-              f"{elapsed:.3f}s = {rate:,.0f} steps/sec")
+        print(f"round {index}: {steps:,} steps in "
+              f"{elapsed:.3f}s = {rate:,.0f} steps/sec, "
+              f"{loop['events'] / steps:.3f} events/step")
     print(f"best: {best:,.0f} steps/sec")
     if min_steps_per_sec is not None and best < min_steps_per_sec:
         print(f"FAIL: best rate {best:,.0f} steps/sec "

@@ -91,6 +91,9 @@ class KernelMonitor:
     def on_interrupt(self, process: Any) -> None:
         """The current context called ``process.interrupt()``."""
 
+    def on_call(self, env: Any, fn: Any) -> None:
+        """The current context armed ``fn`` with ``env.call_at``."""
+
 
 class _Context:
     """Clock state for one sim process (or the top-level root driver)."""

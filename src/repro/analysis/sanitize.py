@@ -46,6 +46,7 @@ class TraceRecorder(KernelMonitor):
     * ``("step", pid, name, now)`` -- bootstrap / interrupt / failure;
     * ``("trigger", event_type, now)`` -- an event fired;
     * ``("interrupt", pid, name, now)`` -- someone interrupted ``pid``;
+    * ``("call", qualname, now)`` -- a ``call_at`` entry was armed;
     * ``("rng", stream, method)`` -- one draw from a registry stream.
 
     Processes are identified by a deterministic spawn index, never by
@@ -82,6 +83,10 @@ class TraceRecorder(KernelMonitor):
     def on_interrupt(self, process: Any) -> None:
         self.entries.append(("interrupt", self._pid(process), process.name,
                              process.env.now))
+
+    def on_call(self, env: Any, fn: Any) -> None:
+        self.entries.append(("call", getattr(fn, "__qualname__",
+                                             type(fn).__name__), env.now))
 
     def record_rng(self, stream: str, method: str) -> None:
         self.rng_counts[stream] = self.rng_counts.get(stream, 0) + 1

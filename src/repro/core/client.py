@@ -42,7 +42,7 @@ class CacheDeletedError(Exception):
     will return an exception")."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheIoResult:
     """Outcome of one cache Read or Write."""
 
@@ -848,16 +848,16 @@ class _Transfer:
         if self.data is not None:
             payload = self.data[fragment.buffer_offset:
                                 fragment.buffer_offset + fragment.length]
-        op = EngineOp(
-            is_read=self.is_read, size=fragment.length, token=mapping.token,
-            offset=fragment.offset, data=payload, tenant=self.tenant,
-            on_done=partial(self._settled, len(self.ops)))
+        op = EngineOp(self.is_read, fragment.length, mapping.token,
+                      fragment.offset, payload, 1,
+                      partial(self._settled, len(self.ops)), self.tenant)
         self.ops.append(op)
         self.results.append(None)
-        cache.env.timeout(cache.path.submission_overhead()).callbacks = [
-            self._enqueue]
+        env = cache.env
+        env.call_at(env.now + cache.path.submission_overhead(),
+                    self._enqueue)
 
-    def _enqueue(self, _event: Event) -> None:
+    def _enqueue(self, _arg: None) -> None:
         self.cache.path.submit(self.ops[-1])
         self._next()
 
@@ -872,8 +872,8 @@ class _Transfer:
         results = self.results
         for result in results:
             if not result.ok:
-                self.done.succeed(CacheIoResult(
-                    ok=False, error=result.error, latency=latency))
+                self.done.succeed(CacheIoResult(False, None, result.error,
+                                                latency))
                 return
         payload = None
         if self.is_read:
@@ -884,5 +884,4 @@ class _Transfer:
                            fragment.buffer_offset + fragment.length] = \
                         result.data
             payload = bytes(buffer)
-        self.done.succeed(CacheIoResult(ok=True, data=payload,
-                                        latency=latency))
+        self.done.succeed(CacheIoResult(True, payload, None, latency))

@@ -14,9 +14,9 @@ client thread runs one RDMA connection per attached cache server, with:
 All CPU charges go through one per-thread ``Resource`` so that the
 issuer and completion sides cannot overlap in time -- they are the same
 hardware thread.  The issuer and completion loops (which model
-batching) are processes; a one-sided op's completion side is a callback
-chain run from its verb's landing, one kernel entry per timed stage,
-that takes an uncontended CPU slot without a kernel round trip.
+batching) and a one-sided op's completion side are callback chains, one
+kernel entry per timed stage or grant; a one-sided reap takes an
+uncontended CPU slot without a kernel round trip.
 """
 
 from __future__ import annotations
@@ -158,9 +158,7 @@ class CacheDataPath:
             self._cas_mismatch_counter = None
             self._tenant_ops_family = None
         for thread in self.threads:
-            env.process(self._completion_loop(thread),
-                        name=f"redy-client:{client_endpoint.name}:"
-                             f"t{thread.index}:completions")
+            _Completer(self, thread)
 
     # ------------------------------------------------------------------
     # Control plane
@@ -210,10 +208,7 @@ class CacheDataPath:
             thread.connections[server.endpoint.name] = connection
             for token in reply.region_tokens:
                 thread.routes[token.region_id] = connection
-            self.env.process(
-                self._issuer_loop(thread, connection),
-                name=f"redy-client:{self.endpoint.name}:t{thread.index}:"
-                     f"issue->{server.endpoint.name}")
+            _Issuer(self, thread, connection)
         return reply.region_tokens
 
     def detach_server(self, server_name: str) -> None:
@@ -263,13 +258,10 @@ class CacheDataPath:
         if self.config.lock_free:
             cost = cpu.handoff_lockfree
         else:
-            cost = cpu.handoff_locked + cpu.lock_contention_mean * math.exp(
-                self.rng.normal(0.0, self._lock_sigma)
-                - self._lock_sigma**2 / 2)
+            cost = cpu.handoff_locked + self._lognormal(
+                cpu.lock_contention_mean, self._lock_sigma)
         if not self.config.numa_affinity:
-            cost += cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
-                - self._jitter_sigma**2 / 2)
+            cost += self._numa_jitter()
         return cost
 
     def submit(self, op: EngineOp, thread_index: Optional[int] = None) -> None:
@@ -324,99 +316,50 @@ class CacheDataPath:
             raise EngineError("no attached cache server")
         return next(iter(thread.connections.values()))
 
+    # Noise draws scale a standard normal: ``sigma * standard_normal()``
+    # is bit-identical to ``normal(0.0, sigma)`` and skips its argument
+    # handling.
+
     def _noise(self) -> float:
         sigma = self.profile.measurement_noise
-        return math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
+        return math.exp(sigma * self.rng.standard_normal()) if sigma else 1.0
 
-    def _issuer_loop(self, thread: _ClientThread, connection: _Connection):
-        # Hot loop (once per batch): the profile and config are frozen
-        # for the engine's lifetime, so every per-iteration cost below
-        # is hoisted.  `base_work + weight * per_op` preserves the exact
-        # float association of the original expression.
-        cpu, nic = self.profile.cpu, self.profile.nic
-        config = self.config
+    def _lognormal(self, mean: float, sigma: float) -> float:
+        """A mean-``mean`` lognormal draw (the lock and NUMA tails)."""
+        return mean * math.exp(
+            sigma * self.rng.standard_normal() - sigma**2 / 2)
+
+    def _numa_jitter(self) -> float:
+        """Cross-NUMA delay of a non-affinitized thread."""
+        return self._lognormal(self.profile.cpu.numa_penalty_mean,
+                               self._jitter_sigma)
+
+    def _post_batch(self, connection: _Connection,
+                    ops: List[EngineOp]) -> None:
+        """Write one request batch into the server's message ring."""
         env = self.env
-        ring_get = connection.batch_ring.get
-        ring_try_get = connection.batch_ring.try_get
-        credits_get = connection.credits.get
-        credits_try_get = connection.credits.try_get
-        cpu_acquire = thread.cpu.acquire
-        cpu_release = thread.cpu.release
-        batch_size = config.batch_size
-        base_work = cpu.batch_prepare + nic.doorbell
-        per_op = cpu.client_per_op
-        numa_affinity = config.numa_affinity
-        lock_free = config.lock_free
-        uses_one_sided = config.uses_one_sided
-        batch_weight = self._batch_weight
-        credit_wait = self._credit_wait
-        sigma = self.profile.measurement_noise
-        while not connection.closed:
-            first = yield ring_get()
-            batch_ops = [first]
-            weight = first.weight
-            while weight < batch_size:
-                ok, op = ring_try_get()
-                if not ok:
-                    break
-                batch_ops.append(op)
-                weight += op.weight
-            if batch_weight is not None:
-                batch_weight.observe(weight)
-            credit_wait_started = env.now
-            if not credits_try_get()[0]:
-                yield credits_get()
-            if credit_wait is not None:
-                credit_wait.observe(env.now - credit_wait_started)
-
-            # The CPU grant stays a kernel round trip: the noise draw
-            # below must follow whatever else this instant settles
-            # first (a credit returned together with a completion wakes
-            # this loop ahead of the op's submitter).
-            yield cpu_acquire()
-            work = base_work + weight * per_op
-            if not numa_affinity:
-                work += weight * cpu.numa_cpu_per_op
-            if not lock_free:
-                # The consumer side of the mutex-protected queue pays the
-                # same lock acquisition + contention as the producer.
-                work += weight * (cpu.handoff_locked
-                                  + cpu.lock_contention_mean * math.exp(
-                                      self.rng.normal(0.0, self._lock_sigma)
-                                      - self._lock_sigma**2 / 2))
-            # Inlined self._noise(): same single RNG draw.
-            noise = math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
-            yield env.timeout(work * noise)
-            cpu_release()
-
-            one_sided = (len(batch_ops) == 1 and first.weight == 1
-                         and uses_one_sided and first.token is not None)
-            if one_sided:
-                self._post_one_sided(thread, connection, first)
-            else:
-                batch = RequestBatch(ops=batch_ops,
-                                     connection_id=connection.connection_id,
-                                     created_at=env.now)
-                connection.outstanding[batch.batch_id] = batch
-                wr = WorkRequest(
-                    RdmaOp.WRITE, connection.request_ring_token, 0,
-                    batch.wire_bytes, payload_object=batch)
-                ack = connection.qp.post(wr)
-                # Both watchers are deliberately detached: they exist to
-                # observe the batch (ack bookkeeping, response timeout)
-                # and settle its per-op events themselves.
-                env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
-                    self._watch_request_ack(connection, batch, ack),
-                    name="redy-client:request-ack")
-                env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
-                    self._watch_response_timeout(connection, batch),
-                    name="redy-client:response-timeout")
+        batch = RequestBatch(ops=ops, connection_id=connection.connection_id,
+                             created_at=env.now)
+        connection.outstanding[batch.batch_id] = batch
+        wr = WorkRequest(
+            RdmaOp.WRITE, connection.request_ring_token, 0,
+            batch.wire_bytes, payload_object=batch)
+        ack = connection.qp.post(wr)
+        # Both watchers are deliberately detached: they exist to
+        # observe the batch (ack bookkeeping, response timeout) and
+        # settle its per-op events themselves.
+        env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
+            self._watch_request_ack(connection, batch, ack),
+            name="redy-client:request-ack")
+        env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
+            self._watch_response_timeout(connection, batch),
+            name="redy-client:response-timeout")
 
     def _post_one_sided(self, thread: _ClientThread, connection: _Connection,
                         op: EngineOp) -> None:
         verb = RdmaOp.READ if op.is_read else RdmaOp.WRITE
         connection.qp.post_then(
-            WorkRequest(verb, op.token, op.offset, op.size, data=op.data),
+            WorkRequest(verb, op.token, op.offset, op.size, op.data),
             _OneSidedReap(self, thread, connection, op).reap)
 
     def _dependent_read(self, thread: _ClientThread, connection: _Connection,
@@ -483,9 +426,7 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
         if not self.config.numa_affinity:
-            yield env.timeout(cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
-                - self._jitter_sigma**2 / 2))
+            yield env.timeout(self._numa_jitter())
         connection.credits.try_put(object())
         self._finish(op, OpResult(
             ok=completion.ok, data=completion.data, error=completion.error,
@@ -592,43 +533,6 @@ class CacheDataPath:
                 latency=self.env.now - op.enqueued_at))
         return True
 
-    def _completion_loop(self, thread: _ClientThread):
-        # Hot loop (once per response batch); hoisted like _issuer_loop.
-        cpu, nic = self.profile.cpu, self.profile.nic
-        env = self.env
-        store_get = thread.response_store.get
-        cpu_acquire = thread.cpu.acquire
-        cpu_release = thread.cpu.release
-        poll = nic.completion_poll
-        per_op = cpu.client_per_op + cpu.callback
-        numa_affinity = self.config.numa_affinity
-        sigma = self.profile.measurement_noise
-        finish = self._finish
-        while True:
-            response = yield store_get()
-            yield cpu_acquire()
-            weight = sum(op.weight for op in response.ops)
-            work = poll + weight * per_op
-            # Inlined self._noise(): same single RNG draw.
-            noise = math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
-            yield env.timeout(work * noise)
-            cpu_release()
-            if not numa_affinity:
-                yield env.timeout(cpu.numa_penalty_mean * math.exp(
-                    self.rng.normal(0.0, self._jitter_sigma)
-                    - self._jitter_sigma**2 / 2))
-            connection = self._connection_by_id(thread,
-                                                response.connection_id)
-            if connection is not None:
-                if connection.outstanding.pop(response.batch_id,
-                                              None) is None:
-                    continue  # batch already timed out and was failed
-                connection.credits.try_put(object())
-            now = env.now
-            for op, result in zip(response.ops, response.results):
-                result.latency = now - op.enqueued_at
-                finish(op, result)
-
     def _connection_by_id(self, thread: _ClientThread,
                           connection_id: int) -> Optional[_Connection]:
         for connection in thread.connections.values():
@@ -664,6 +568,155 @@ class CacheDataPath:
         return self._completed_weight
 
 
+class _Issuer:
+    """One connection's issuer loop, as a callback chain.
+
+    Gathers up to ``b`` queued ops, takes a queue-depth credit and the
+    thread's CPU, charges the batch's client work, then posts it:
+    one-sided for a lone weight-1 op (fast path, §4.3), otherwise as a
+    request batch written into the server's message ring.  Every wait
+    is a callback grant or ``call_at`` entry in the slot the process
+    version's event took, so the chain dispatches exactly like it.
+    """
+
+    __slots__ = ("path", "thread", "connection", "base_work", "ops",
+                 "weight", "credit_wait_started")
+
+    def __init__(self, path: CacheDataPath, thread: _ClientThread,
+                 connection: _Connection):
+        self.path = path
+        self.thread = thread
+        self.connection = connection
+        self.base_work = (path.profile.cpu.batch_prepare
+                          + path.profile.nic.doorbell)
+        self.ops: List[EngineOp] = []
+        # First turn in the slot a process bootstrap takes.
+        path.env._call_soon(self._next, None)
+
+    def _next(self, _arg: object = None) -> None:
+        if not self.connection.closed:
+            self.connection.batch_ring.get_then(self._gather)
+
+    def _gather(self, first: EngineOp) -> None:
+        path = self.path
+        connection = self.connection
+        try_get = connection.batch_ring.try_get
+        batch_size = path.config.batch_size
+        ops = [first]
+        weight = first.weight
+        while weight < batch_size:
+            ok, op = try_get()
+            if not ok:
+                break
+            ops.append(op)
+            weight += op.weight
+        if path._batch_weight is not None:
+            path._batch_weight.observe(weight)
+        self.ops = ops
+        self.weight = weight
+        self.credit_wait_started = path.env.now
+        if connection.credits.try_get()[0]:
+            self._credited(None)
+        else:
+            connection.credits.get_then(self._credited)
+
+    def _credited(self, _credit: object) -> None:
+        path = self.path
+        if path._credit_wait is not None:
+            path._credit_wait.observe(
+                path.env.now - self.credit_wait_started)
+        # The CPU grant stays a kernel hop: the noise draw below must
+        # follow whatever else this instant settles first (a credit
+        # returned together with a completion wakes this chain ahead
+        # of the op's submitter).
+        self.thread.cpu.acquire_then(self._work)
+
+    def _work(self, _arg: None) -> None:
+        path = self.path
+        cpu = path.profile.cpu
+        config = path.config
+        weight = self.weight
+        work = self.base_work + weight * cpu.client_per_op
+        if not config.numa_affinity:
+            work += weight * cpu.numa_cpu_per_op
+        if not config.lock_free:
+            # The consumer side of the mutex-protected queue pays the
+            # same lock acquisition + contention as the producer.
+            work += weight * (cpu.handoff_locked + path._lognormal(
+                cpu.lock_contention_mean, path._lock_sigma))
+        env = path.env
+        env.call_at(env.now + work * path._noise(), self._worked)
+
+    def _worked(self, _arg: None) -> None:
+        self.thread.cpu.release()
+        path = self.path
+        ops = self.ops
+        first = ops[0]
+        if (len(ops) == 1 and first.weight == 1
+                and path.config.uses_one_sided and first.token is not None):
+            path._post_one_sided(self.thread, self.connection, first)
+        else:
+            path._post_batch(self.connection, ops)
+        self._next()
+
+
+class _Completer:
+    """One client thread's completion loop, as a callback chain: reap a
+    response batch, poll and run its callbacks on the thread's CPU,
+    return the credit, settle its ops."""
+
+    __slots__ = ("path", "thread", "response")
+
+    def __init__(self, path: CacheDataPath, thread: _ClientThread):
+        self.path = path
+        self.thread = thread
+        self.response = None
+        # First turn in the slot a process bootstrap takes.
+        path.env._call_soon(self._next, None)
+
+    def _next(self, _arg: object = None) -> None:
+        self.thread.response_store.get_then(self._got)
+
+    def _got(self, response) -> None:
+        self.response = response
+        self.thread.cpu.acquire_then(self._poll)
+
+    def _poll(self, _arg: None) -> None:
+        path = self.path
+        cpu = path.profile.cpu
+        weight = sum(op.weight for op in self.response.ops)
+        work = path.profile.nic.completion_poll + weight * (
+            cpu.client_per_op + cpu.callback)
+        env = path.env
+        env.call_at(env.now + work * path._noise(), self._polled)
+
+    def _polled(self, _arg: None) -> None:
+        self.thread.cpu.release()
+        path = self.path
+        if path.config.numa_affinity:
+            self._settle(None)
+        else:
+            env = path.env
+            env.call_at(env.now + path._numa_jitter(), self._settle)
+
+    def _settle(self, _arg: None) -> None:
+        path = self.path
+        response, self.response = self.response, None
+        connection = path._connection_by_id(self.thread,
+                                            response.connection_id)
+        if connection is not None:
+            if connection.outstanding.pop(response.batch_id, None) is None:
+                self._next()  # batch already timed out and was failed
+                return
+            connection.credits.try_put(object())
+        now = path.env.now
+        finish = path._finish
+        for op, result in zip(response.ops, response.results):
+            result.latency = now - op.enqueued_at
+            finish(op, result)
+        self._next()
+
+
 class _OneSidedReap:
     """Completion side of one one-sided op, as a callback chain: poll
     the CQ and run the callback on the client thread's CPU, return the
@@ -684,29 +737,28 @@ class _OneSidedReap:
         if cpu.try_acquire():
             self._poll(None)
         else:
-            cpu.acquire().callbacks = [self._poll]
+            cpu.acquire_then(self._poll)
 
-    def _poll(self, _event: Optional[Event]) -> None:
+    def _poll(self, _arg: None) -> None:
         path = self.path
         work = path.profile.nic.completion_poll + path.profile.cpu.callback
-        path.env.timeout(work * path._noise()).callbacks = [self._polled]
+        env = path.env
+        env.call_at(env.now + work * path._noise(), self._polled)
 
-    def _polled(self, _event: Event) -> None:
+    def _polled(self, _arg: None) -> None:
         self.thread.cpu.release()
         path = self.path
         if path.config.numa_affinity:
             self._settle(None)
             return
-        sigma = path._jitter_sigma
-        path.env.timeout(path.profile.cpu.numa_penalty_mean * math.exp(
-            path.rng.normal(0.0, sigma) - sigma**2 / 2)).callbacks = [
-                self._settle]
+        env = path.env
+        env.call_at(env.now + path._numa_jitter(), self._settle)
 
-    def _settle(self, _event: Optional[Event]) -> None:
+    def _settle(self, _arg: None) -> None:
         path = self.path
         op = self.op
         completion = self.completion
         self.connection.credits.try_put(object())
-        path._finish(op, OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=path.env.now - op.enqueued_at))
+        path._finish(op, OpResult(completion.ok, completion.data,
+                                  completion.error,
+                                  path.env.now - op.enqueued_at))

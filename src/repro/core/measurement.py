@@ -81,7 +81,8 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                    extra_outstanding: int = 0,
                    seed: int = 0,
                    metrics: Optional[MetricsRegistry] = None,
-                   dependent_reads: bool = False
+                   dependent_reads: bool = False,
+                   env: Optional[Environment] = None
                    ) -> MeasurementResult:
     """Measure one RDMA configuration on the simulated testbed.
 
@@ -98,9 +99,13 @@ def measure_config(config: RdmaConfig, record_size: int, *,
     size-only fallback.  ``config.use_verb_programs`` then selects the
     one-round-trip program path versus the classic two-hop baseline --
     the fig11/fig12 A/B toggle.
+
+    ``env`` is the (fresh) Environment to run on, for callers that read
+    its event-loop counters afterwards; by default one is made here.
     """
     rngs = RngRegistry(seed=seed)
-    env = Environment()
+    if env is None:
+        env = Environment()
     if metrics is not None:
         # Install before the testbed is built so the queue pairs, fabric,
         # and data path instrument themselves (see repro.obs).
@@ -223,8 +228,9 @@ def measure_config(config: RdmaConfig, record_size: int, *,
         metrics.counter("bench.ops").inc(measured_weight)
         metrics.gauge("bench.throughput_ops").set(measured_weight / duration)
         metrics.gauge("bench.measured_duration").set(duration)
-        for key, value in env.event_loop_stats().items():
-            metrics.gauge(f"kernel.{key}").set(value)
+        # Event-loop counters stay out: they count kernel work, not
+        # simulated behaviour, and a blob must not change when only the
+        # kernel's bookkeeping does (kernelbench reads them off `env`).
         metrics.gauge("kernel.sim_now").set(env.now)
     return MeasurementResult(
         latency_mean=float(samples.mean()),

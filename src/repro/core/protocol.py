@@ -28,7 +28,7 @@ __all__ = [
 _BATCH_IDS = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineOp:
     """One application I/O as seen by the data path.
 
@@ -45,13 +45,17 @@ class EngineOp:
     offset: int = 0
     data: Optional[bytes] = None
     weight: int = 1
+    #: Called with the op's :class:`OpResult` in place of ``completion``
+    #: (callback chains skip the event's kernel hop).
+    on_done: Optional[Callable[["OpResult"], None]] = None
+    #: Serving-tier identity: which registered tenant issued this op.
+    #: ``None`` (the default) is the classic anonymous single-user path;
+    #: the engine only adds per-tenant accounting when it is set.
+    tenant: Optional[str] = None
     #: Fires with the op's :class:`OpResult`; created by
     #: :meth:`CacheDataPath.submit` when neither it nor ``on_done`` is
     #: given.
     completion: Optional[Event] = None
-    #: Called with the op's :class:`OpResult` in place of ``completion``
-    #: (callback chains skip the event's kernel hop).
-    on_done: Optional[Callable[["OpResult"], None]] = None
     enqueued_at: float = 0.0
     #: Dependent read: offset of the pointer word to chase first.  The
     #: record is then read at the little-endian u64 the word holds (with
@@ -69,10 +73,6 @@ class EngineOp:
     #: property of the NIC executing one verb, not of a message batch.
     cas: bool = False
     compare: Optional[bytes] = None
-    #: Serving-tier identity: which registered tenant issued this op.
-    #: ``None`` (the default) is the classic anonymous single-user path;
-    #: the engine only adds per-tenant accounting when it is set.
-    tenant: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -119,7 +119,7 @@ class EngineOp:
         return self.weight * (RESP_HEADER_BYTES + payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpResult:
     """Outcome of one :class:`EngineOp`, delivered via its completion event."""
 

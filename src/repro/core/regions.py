@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.net.memory import AccessToken
 from repro.sim.kernel import Environment, Event
@@ -49,8 +49,7 @@ class RegionMapping:
         return self._read_gate is not None
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """One region-local piece of a (possibly spanning) cache access."""
 
     region_index: int
@@ -134,9 +133,8 @@ class RegionTable:
             offset = cursor % self.region_bytes
             length = min(remaining, self.region_bytes - offset)
             mapping = self._regions[index]
-            fragments.append(Fragment(
-                region_index=index, token=mapping.token, offset=offset,
-                length=length, buffer_offset=buffer_offset))
+            fragments.append(Fragment(index, mapping.token, offset, length,
+                                      buffer_offset))
             cursor += length
             remaining -= length
             buffer_offset += length

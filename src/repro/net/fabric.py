@@ -300,7 +300,7 @@ class Fabric:
             wire_time = self.profile.nic.wire_time(wire_payload_bytes)
             self._wire_time_cache[wire_payload_bytes] = wire_time
         wire_time = wire_time * src.throttle
-        start = self.env._now
+        start = self.env.now
         if src.tx_free_at > start:
             start = src.tx_free_at
         end = start + wire_time
@@ -323,20 +323,20 @@ class Fabric:
             uplink = self._rack_uplink(src.placement)
         return end, base + self.extra_latency_s, uplink
 
-    def _settle(self, _event: Event) -> None:
+    def _settle_then(self, then: Callable[[None], None]) -> None:
         """Add every reserved serialization that has ended by now to
-        ``fabric.tx_busy_seconds``, in end order."""
+        ``fabric.tx_busy_seconds``, in end order, then call ``then``."""
         unsettled = self._unsettled
-        now = self.env._now
+        now = self.env.now
         tx_busy = self._tx_busy
         while unsettled and unsettled[0][0] <= now:
             tx_busy.inc(heappop(unsettled)[2])
+        then(None)
 
     def send(self, src: Endpoint, dst: Endpoint, wire_payload_bytes: int,
-             then: Callable[[Event], None], tail: float = 0.0) -> None:
-        """Move one message from ``src`` to ``dst``; call ``then`` (with
-        the firing timeout) once it has landed and ``tail`` more
-        seconds have passed.
+             then: Callable[[None], None], tail: float = 0.0) -> None:
+        """Move one message from ``src`` to ``dst``; call ``then(None)``
+        once it has landed and ``tail`` more seconds have passed.
 
         ``tail`` fuses the receiver's next fixed stage (a DMA into host
         memory) into the landing entry: it fires at exactly
@@ -346,34 +346,35 @@ class Fabric:
         at serialization end, where the message queues for it.
         """
         end, flight, uplink = self._reserve(src, dst, wire_payload_bytes)
-        callbacks = ([then] if self._tx_busy is None
-                     else [self._settle, then])
-        if uplink is None:
-            self.env.timeout_at((end + flight) + tail).callbacks = callbacks
+        if self._tx_busy is None:
+            fn, arg = then, None
         else:
-            self.env.timeout_at(end).callbacks = [
-                lambda _e: self._cross_uplink(uplink, wire_payload_bytes,
-                                              flight, tail, callbacks)]
+            fn, arg = self._settle_then, then
+        if uplink is None:
+            self.env.call_at((end + flight) + tail, fn, arg)
+        else:
+            self.env.call_at(end, lambda _arg: self._cross_uplink(
+                uplink, wire_payload_bytes, flight, tail, fn, arg))
 
     def _cross_uplink(self, uplink: Resource, wire_payload_bytes: int,
-                      flight: float, tail: float, callbacks: list) -> None:
+                      flight: float, tail: float,
+                      fn: Callable[[object], None], arg: object) -> None:
         """Uplink stage of :meth:`send`: queue FIFO for the rack uplink,
         serialize through it, then fly the rest of the way."""
         env = self.env
 
-        def crossed(_event: Event) -> None:
+        def crossed(_arg: None) -> None:
             uplink.release()
-            env.timeout_at((env.now + flight) + tail).callbacks = callbacks
+            env.call_at((env.now + flight) + tail, fn, arg)
 
-        def granted(_event: Optional[Event] = None) -> None:
-            env.timeout(wire_payload_bytes * 8 / (
-                self.profile.fabric.rack_uplink_gbps * 1e9)).callbacks = [
-                    crossed]
+        def granted(_arg: None = None) -> None:
+            env.call_at(env.now + wire_payload_bytes * 8 / (
+                self.profile.fabric.rack_uplink_gbps * 1e9), crossed)
 
         if uplink.try_acquire():
             granted()
         else:
-            uplink.acquire().callbacks = [granted]
+            uplink.acquire_then(granted)
 
     def transmit(self, src: Endpoint, dst: Endpoint,
                  wire_payload_bytes: int) -> Generator[Event, None, None]:

@@ -415,8 +415,8 @@ class QueuePair:
             sink(completion)
 
     def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
-        return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,
-                          context=wr.context, completed_at=self.env.now)
+        return Completion(wr.wr_id, wr.op, False, None, error, wr.context,
+                          self.env.now)
 
 
 class _Verb:
@@ -455,7 +455,7 @@ class _Verb:
         if not local.alive:
             # A dead requester posts nothing: its NIC is gone.  The
             # error completes on a later step, in post order.
-            env.timeout_at(env.now).callbacks = [self._local_down]
+            env.call_at(env.now, self._local_down)
             return
         nic = local.fabric.profile.nic
         # NIC work-request processing on the requester.  Followers of a
@@ -479,16 +479,16 @@ class _Verb:
             write_bytes = wr.program.write_payload_bytes
             if write_bytes and not nic.can_inline(write_bytes):
                 when = when + nic.dma_fetch(write_bytes)
-        env.timeout_at(when).callbacks = [self._request]
+        env.call_at(when, self._request)
 
     def _fail(self, error: str) -> None:
         qp = self.qp
         qp._finish(self.wr, self.sink, qp._error_completion(self.wr, error))
 
-    def _local_down(self, _event: Event) -> None:
+    def _local_down(self, _arg: None) -> None:
         self._fail("local endpoint down")
 
-    def _request(self, _event: Event) -> None:
+    def _request(self, _arg: None) -> None:
         qp = self.qp
         wr = self.wr
         op = wr.op
@@ -511,7 +511,7 @@ class _Verb:
                 request_bytes = program.cached_request_wire_bytes
         qp.local.fabric.send(qp.local, qp.remote, request_bytes, self._arrive)
 
-    def _arrive(self, _event: Event) -> None:
+    def _arrive(self, _arg: None) -> None:
         qp = self.qp
         wr = self.wr
         remote = qp.remote
@@ -528,15 +528,15 @@ class _Verb:
         if op is RdmaOp.CAS:
             if self._find_region() is not None:
                 nic = remote.fabric.profile.nic
-                qp.env.timeout(
+                env = qp.env
+                env.call_at(env.now + (
                     nic.program_step_latency + nic.dma_fetch(CAS_WORD_BYTES)
-                    + qp._context_penalty(remote)).callbacks = [
-                        self._serve_cas]
+                    + qp._context_penalty(remote)), self._serve_cas)
             return
         # Responder NIC looks up this QP's connection context too.
         penalty = qp._context_penalty(remote)
         if penalty:
-            qp.env.timeout(penalty).callbacks = [self._respond]
+            qp.env.call_at(qp.env.now + penalty, self._respond)
         else:
             self._respond(None)
 
@@ -548,7 +548,7 @@ class _Verb:
         self.region = region
         return region
 
-    def _respond(self, _event: Optional[Event]) -> None:
+    def _respond(self, _arg: None) -> None:
         if self._find_region() is None:
             return
         wr = self.wr
@@ -557,9 +557,10 @@ class _Verb:
         # NIC pulls the payload from host memory.
         service = (nic.rx_dma if wr.op is RdmaOp.WRITE
                    else nic.dma_fetch(wr.payload_bytes))
-        self.qp.env.timeout(service).callbacks = [self._serve]
+        env = self.qp.env
+        env.call_at(env.now + service, self._serve)
 
-    def _serve(self, _event: Event) -> None:
+    def _serve(self, _arg: None) -> None:
         qp = self.qp
         wr = self.wr
         region = self.region
@@ -579,12 +580,12 @@ class _Verb:
         except RdmaAccessError as exc:
             self._fail(str(exc))
             return
-        self.completion = Completion(wr_id=wr.wr_id, op=wr.op, ok=True,
-                                     data=self.data, context=wr.context)
+        self.completion = Completion(wr.wr_id, wr.op, True, self.data, None,
+                                     wr.context)
         qp.remote.fabric.send(qp.remote, qp.local, response_bytes,
                               self._land, tail)
 
-    def _serve_cas(self, _event: Event) -> None:
+    def _serve_cas(self, _arg: None) -> None:
         """Standalone single-word compare-and-swap (e.g. remote-side
         eviction marking).  ``wr.data`` is the swap value, ``wr.compare``
         the expected word; the completion's ``data`` is the observed
@@ -690,9 +691,8 @@ class _Verb:
                 break
 
         # The whole remote-side chain is one service interval.
-        qp.env.timeout(service).callbacks = [
-            lambda _e: self._serve_program(produced, results, guards, error,
-                                           cas_aborted, wrote)]
+        qp.env.call_at(qp.env.now + service, lambda _arg: self._serve_program(
+            produced, results, guards, error, cas_aborted, wrote))
 
     def _serve_program(self, produced: List[Optional[bytes]],
                        results: Dict[int, StepResult],
@@ -757,10 +757,10 @@ class _Verb:
         qp.remote.fabric.send(qp.remote, qp.local, response_bytes,
                               self._land_program, tail)
 
-    def _land_program(self, _event: Event) -> None:
+    def _land_program(self, _arg: None) -> None:
         if self.region is not None:
             self.region.deliver(self.wr.payload_object)
-        self._land(_event)
+        self._land(None)
 
-    def _land(self, _event: Event) -> None:
+    def _land(self, _arg: None) -> None:
         self.qp._finish(self.wr, self.sink, self.completion)

@@ -35,7 +35,7 @@ class RdmaOp(enum.Enum):
     PROGRAM = "program"
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkRequest:
     """One posted one-sided operation.
 
@@ -91,7 +91,7 @@ class WorkRequest:
         return self.op is RdmaOp.WRITE
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     """Completion-queue entry for one work request.
 

@@ -63,12 +63,12 @@ class ShardMember:
         self.cache = cache
         #: Router-issued requests currently outstanding on this shard.
         self.inflight = 0
-        #: Priority queue of processes waiting for an in-flight slot:
-        #: ``(-priority, seq, event)`` heap entries, so a saturated shard
+        #: Priority queue of requests waiting for an in-flight slot:
+        #: ``(-priority, seq, retry)`` heap entries, so a saturated shard
         #: grants slots highest-priority first and FIFO within a
         #: priority (the serving tier maps tenant weight to priority;
         #: everything else issues at the default 0).
-        self.waiters: List[Tuple[int, int, Event]] = []
+        self.waiters: List[Tuple[int, int, Callable[[None], None]]] = []
         self.alive = True
         #: True while this member is being drained off the ring.
         self.departing = False
@@ -325,17 +325,22 @@ class ShardRouter:
                 member.inflight_gauge.set(member.inflight)
             go()
             return
-        waiter = self.env.event()
         self._waiter_seq += 1
-        heapq.heappush(member.waiters, (-priority, self._waiter_seq, waiter))
-        waiter.callbacks = [lambda _e: self._acquire(member, priority, go)]
+        heapq.heappush(member.waiters, (
+            -priority, self._waiter_seq,
+            lambda _arg: self._acquire(member, priority, go)))
 
     def _release(self, member: ShardMember) -> None:
         member.inflight -= 1
         if member.inflight_gauge:
             member.inflight_gauge.set(member.inflight)
         if member.waiters and member.inflight < self.max_inflight_per_shard:
-            heapq.heappop(member.waiters)[2].succeed()
+            self._wake(member)
+
+    def _wake(self, member: ShardMember) -> None:
+        """Re-run the highest-priority waiter's acquire on the next
+        kernel step (the slot an event grant's dispatch takes)."""
+        self.env.call_at(self.env.now, heapq.heappop(member.waiters)[2])
 
     def _member_io(self, member: ShardMember, is_read: bool, addr: int,
                    size_or_data, tenant: Optional[str] = None) -> Event:
@@ -595,7 +600,7 @@ class ShardRouter:
         member.alive = False
         # Unblock anything still queued on the dead member.
         while member.waiters:
-            heapq.heappop(member.waiters)[2].succeed()
+            self._wake(member)
         self.reports.append(report)
         for hook in self.on_rebalance:
             hook(report)
@@ -733,14 +738,13 @@ class _Io:
                 router._h_read_lat.observe(latency)
             payload = (results[0].data if len(results) == 1
                        else b"".join(r.data for r in results))
-            self.done.succeed(CacheIoResult(ok=True, data=payload,
-                                            latency=latency))
+            self.done.succeed(CacheIoResult(True, payload, None, latency))
         else:
             if router._c_writes:
                 router._c_writes.inc()
             if router._h_write_lat:
                 router._h_write_lat.observe(latency)
-            self.done.succeed(CacheIoResult(ok=True, latency=latency))
+            self.done.succeed(CacheIoResult(True, None, None, latency))
 
 
 class _FragmentRead:
@@ -758,7 +762,7 @@ class _FragmentRead:
 
     __slots__ = ("router", "pool", "index", "addr", "length", "then",
                  "tenant", "priority", "result", "member", "copies",
-                 "pending", "timer")
+                 "pending", "attempts")
 
     def __init__(self, router: ShardRouter, slot: int, addr: int,
                  length: int, then: Callable[[CacheIoResult], None],
@@ -770,6 +774,7 @@ class _FragmentRead:
         self.tenant = tenant
         self.priority = priority
         self.result = CacheIoResult(ok=False, error="no live shard for range")
+        self.attempts = 0
         router._record_access(slot)
         self.pool = router._read_pool(slot)
         self._attempt(0)
@@ -801,10 +806,13 @@ class _FragmentRead:
         self.copies: Tuple[Event, ...] = (primary,)
         self.pending = 1
         primary._add_callback(self._answered)
-        self.timer = None
         if router.hedge_after_s is not None:
-            self.timer = router.env.timeout(router.hedge_after_s)
-            self.timer.callbacks = [self._hedge]
+            # The hedge timer names its attempt, so a timer outliving
+            # its attempt (the attempt settled or failed over) is inert.
+            self.attempts += 1
+            env = router.env
+            env.call_at(env.now + router.hedge_after_s, self._hedge,
+                        self.attempts)
 
     def _answered(self, event: Event) -> None:
         if event not in self.copies:
@@ -823,8 +831,8 @@ class _FragmentRead:
             self.result = result
             self._attempt(self.index + 1)
 
-    def _hedge(self, event: Event) -> None:
-        if event is not self.timer or len(self.copies) != 1:
+    def _hedge(self, attempt: int) -> None:
+        if attempt != self.attempts or len(self.copies) != 1:
             return
         # Primary is slow: hedge to the first alternate with headroom,
         # or back to the same shard (a duplicate behind a different

@@ -14,7 +14,8 @@ that never touches the heap.  Entries dispatch in the ``(when,
 priority, insertion-order)`` total order; the dispatch-digest corpus
 (``tests/sim/test_scheduler_equivalence.py``) pins that order
 trace-for-trace.  Spent Event/Timeout/Process shells are recycled
-through per-class freelists.
+through per-class freelists.  Callback chains skip the Event entirely:
+``call_at`` queues a bare ``fn(arg)`` in the slot a timeout would take.
 
 The feature set is intentionally small -- timeouts, one-shot events,
 processes, and interrupts -- because that is exactly what the higher
@@ -224,7 +225,7 @@ class Timeout(Event):
         # this shell straight back off the freelist.
         self.env = env
         env._timeout_free.append(self)
-        env.timeout_at(env._now + delay, value)
+        env.timeout_at(env.now + delay, value)
 
 
 class Process(Event):
@@ -537,7 +538,9 @@ class Environment:
     """Owns simulated time and the event list."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  A plain attribute (read
+        #: several times per kernel entry); only the run loop writes it.
+        self.now = float(initial_time)
         # Work due at the current instant: plain FIFO deques (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._urgent: deque = deque()     # PRIORITY_URGENT at `now`
@@ -570,11 +573,6 @@ class Environment:
         self._immediate_calls = 0
         self._process_failures = 0
         self._interrupts_thrown = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def event_loop_stats(self) -> dict:
         """Counters describing the kernel's own work so far."""
@@ -618,7 +616,7 @@ class Environment:
         # `not >=` (not `<`) so a NaN delay is rejected too.
         if not delay >= 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        return self.timeout_at(self._now + delay, value)
+        return self.timeout_at(self.now + delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout that fires at the absolute simulated time ``when``.
@@ -640,7 +638,7 @@ class Environment:
         gives the RaceDetector its trigger->resume happens-before edge
         on every timeout-driven resume.
         """
-        now = self._now
+        now = self.now
         # `not >=` (not `<`): NaN compares false both ways, and a NaN
         # entry would silently corrupt the heap order.
         if not when >= now:
@@ -673,6 +671,34 @@ class Environment:
         if monitor is not None:
             monitor.on_trigger(timeout)
         return timeout
+
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the absolute simulated time ``when``.
+
+        The entry takes exactly the slot ``timeout_at(when)`` with
+        ``fn`` as its only callback would take -- the normal deque when
+        ``when == now``, otherwise a heap entry with the next sequence
+        number -- so swapping one for the other moves no kernel entry.
+        There is no Timeout, no callbacks list and no event dispatch:
+        this is how callback chains schedule their zero-work hops and
+        timed stages.  ``when < now`` (or NaN) raises.  An attached
+        monitor receives ``on_call``.
+        """
+        now = self.now
+        # `not >=` (not `<`): NaN compares false both ways.
+        if not when >= now:
+            raise SimulationError(
+                f"call_at({when}) is in the past (now={now})")
+        if when == now:
+            self._immediate.append((fn, arg))
+        else:
+            seq = self._sequence + 1
+            self._sequence = seq
+            heappush(self._heap, (when, PRIORITY_NORMAL, seq, fn, arg))
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_call(self, fn)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:
@@ -713,10 +739,10 @@ class Environment:
     # comparisons never reach the trailing elements.  Events carry
     # ``(Event._run_callbacks, event)`` -- that function's identity is
     # what distinguishes an event from an immediate call in the loop
-    # statistics -- and immediate calls carry ``(fn, arg)``; the
-    # single-argument convention is what lets waiter delivery and process
-    # bootstrap schedule plain bound/class methods instead of allocating
-    # a closure per call.
+    # statistics -- and plain calls (``call_at``, callback grants,
+    # bootstraps) carry ``(fn, arg)``; the single-argument convention is
+    # what lets waiter delivery and process bootstrap schedule plain
+    # bound/class methods instead of allocating a closure per call.
     #
     # Entries due at the current instant skip the sequence counter
     # entirely and land on the FIFO deques: nothing already queued for
@@ -740,14 +766,14 @@ class Environment:
         heap = self._heap
         if self._urgent:
             fn, arg = self._urgent.popleft()
-        elif heap and heap[0][0] <= self._now:
+        elif heap and heap[0][0] <= self.now:
             _when, _priority, _seq, fn, arg = heappop(heap)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
         else:
             if not heap:
                 raise SimulationError("step() on an empty event list")
-            self._now = heap[0][0]
+            self.now = heap[0][0]
             _when, _priority, _seq, fn, arg = heappop(heap)
         self._steps += 1
         if fn is _EVENT_DISPATCH:
@@ -771,9 +797,9 @@ class Environment:
         handler raises.
         """
         # `not >=` (not `<`) so a NaN `until` is rejected too.
-        if until is not None and not until >= self._now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
+                f"run(until={until}) is in the past (now={self.now})")
         urgent = self._urgent
         immediate = self._immediate
         heap = self._heap
@@ -791,7 +817,7 @@ class Environment:
         timeout_cls = Timeout
         event_cls = Event
         process_cls = Process
-        now = self._now
+        now = self.now
         steps = events = 0
         try:
             while True:
@@ -885,14 +911,14 @@ class Environment:
                 # Advance simulated time to the next scheduled entry.
                 if not heap:
                     if until is not None:
-                        self._now = until
+                        self.now = until
                     return
                 when = heap[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     return
                 now = when
-                self._now = when
+                self.now = when
         finally:
             self._steps += steps
             self._events_processed += events

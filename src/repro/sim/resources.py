@@ -12,7 +12,7 @@ Two primitives cover the reproduction's needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Union
 
 from repro.sim.kernel import Environment, Event, SimulationError
 
@@ -34,7 +34,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: Waiting consumers: events from :meth:`get`, callbacks from
+        #: :meth:`get_then`.
+        self._getters: Deque[Union[Event, Callable[[Any], None]]] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
@@ -49,8 +51,7 @@ class Store:
         event = self.env.event()
         if self._getters:
             # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            self._hand(self._getters.popleft(), item)
             event.succeed()
         elif not self.is_full:
             self._items.append(item)
@@ -63,7 +64,7 @@ class Store:
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._hand(self._getters.popleft(), item)
             return True
         if self.is_full:
             return False
@@ -87,6 +88,27 @@ class Store:
             self._getters.append(event)
         return event
 
+    def get_then(self, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(item)`` with the next item.
+
+        The callback form of :meth:`get`: ``fn`` runs through
+        ``env._call_soon`` in the slot the returned event's dispatch
+        would take -- at once when an item is stored, else when the
+        put that serves this waiter arrives -- without an Event.
+        """
+        if self._items:
+            self.env._call_soon(fn, self._items.popleft())
+            self._admit_putter()
+        else:
+            self._getters.append(fn)
+
+    def _hand(self, getter: Union[Event, Callable[[Any], None]],
+              item: Any) -> None:
+        if isinstance(getter, Event):
+            getter.succeed(item)
+        else:
+            self.env._call_soon(getter, item)
+
     def _cancel_get(self, event: Event) -> None:
         try:
             self._getters.remove(event)
@@ -106,7 +128,7 @@ class Store:
 
     def _restock(self, item: Any) -> None:
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._hand(self._getters.popleft(), item)
         else:
             # Front of the queue: the item was logically next in FIFO
             # order.  May transiently exceed a bounded capacity; that is
@@ -146,7 +168,9 @@ class Resource:
         self.env = env
         self.slots = slots
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: Waiting acquirers: events from :meth:`acquire`, callbacks
+        #: from :meth:`acquire_then`.
+        self._waiters: Deque[Union[Event, Callable[[Any], None]]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -172,6 +196,20 @@ class Resource:
             self._waiters.append(event)
         event.on_abandon = self._cancel_acquire
         return event
+
+    def acquire_then(self, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(None)`` once a slot is held.
+
+        The callback form of :meth:`acquire`: the grant runs through
+        ``env._call_soon`` in the slot the returned event's dispatch
+        would take -- at once when a slot is free, else when the
+        release that hands this waiter its slot arrives.
+        """
+        if self._in_use < self.slots:
+            self._in_use += 1
+            self.env._call_soon(fn, None)
+        else:
+            self._waiters.append(fn)
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire: take a free slot now, or return False.
@@ -202,6 +240,10 @@ class Resource:
             raise SimulationError("release() without a matching acquire()")
         if self._waiters:
             # Hand the slot directly to the oldest waiter.
-            self._waiters.popleft().succeed()
+            waiter = self._waiters.popleft()
+            if isinstance(waiter, Event):
+                waiter.succeed()
+            else:
+                self.env._call_soon(waiter, None)
         else:
             self._in_use -= 1

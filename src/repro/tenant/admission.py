@@ -140,18 +140,25 @@ class AdmissionController:
         ``(SHED, retry_after)`` -- rejected; ``retry_after`` is when a
         retry could find queue room (``inf`` for a dead bucket).
         """
-        now = self.env.now
-        if self.bucket.try_take(now):
+        # One pass over the bucket: the same floats as try_take, then
+        # maturity_wait (shed) or reserve (delay), for one refill.
+        bucket = self.bucket
+        bucket.refill(self.env.now)
+        level = bucket._level
+        if level >= 1.0:
+            bucket._level = level - 1.0
             self.admitted += 1
             return ADMIT, 0.0
-        retry_after = self.bucket.maturity_wait(now)
-        if not self.bucket.viable or self.queued >= self.max_queue:
+        viable = bucket.viable
+        if not viable or self.queued >= self.max_queue:
             self.shed += 1
-            return SHED, retry_after
-        wait = self.bucket.reserve(now)
+            return SHED, ((1.0 - level) / bucket.rate_per_s if viable
+                          else math.inf)
+        level -= 1.0
+        bucket._level = level
         self.queued += 1
         self.delayed += 1
-        return DELAY, wait
+        return DELAY, (-level / bucket.rate_per_s if level < 0.0 else 0.0)
 
     def release(self) -> None:
         """A delayed request's token matured; it leaves the queue."""

@@ -263,7 +263,9 @@ class TenantTier:
         (benchmark setup -- the mirror must cover pre-loaded data for
         fail-open reads to be correct)."""
         tenant = self._tenants[name]
-        self._check_range(tenant, addr, len(data))
+        size = len(data)
+        if addr < 0 or addr + size > tenant.spec.namespace_bytes:
+            raise ValueError(self._range_error(tenant, addr, size))
         self.router.load(tenant.base + addr, data)
         tenant.backing.mirror(addr, data)
 
@@ -302,10 +304,9 @@ class TenantTier:
                data: Optional[bytes]) -> Event:
         tenant = self._tenants[name]
         done = self.env.event()
-        try:
-            self._check_range(tenant, addr, size)
-        except ValueError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
+        if addr < 0 or size < 0 or addr + size > tenant.spec.namespace_bytes:
+            done.succeed(CacheIoResult(
+                ok=False, error=self._range_error(tenant, addr, size)))
             return done
         verdict, wait = tenant.admission.admit()
         if verdict == SHED:
@@ -338,11 +339,9 @@ class TenantTier:
             name=f"tenant-{'r' if is_read else 'w'}:{name}@{addr}")
         return done
 
-    def _check_range(self, tenant: TenantState, addr: int,
-                     size: int) -> None:
-        if addr < 0 or size < 0 or addr + size > tenant.spec.namespace_bytes:
-            raise ValueError(
-                f"tenant {tenant.spec.name!r}: access [{addr}, "
+    @staticmethod
+    def _range_error(tenant: TenantState, addr: int, size: int) -> str:
+        return (f"tenant {tenant.spec.name!r}: access [{addr}, "
                 f"{addr + size}) outside namespace of "
                 f"{tenant.spec.namespace_bytes} bytes")
 

@@ -1,13 +1,19 @@
-"""Kernel-step budgets for one op on an idle cluster.
+"""Kernel-step and event budgets for one op on an idle cluster.
 
 The one-sided data path runs as callback chains: an op pays one kernel
-entry per timed stage and almost no zero-delay hops.  These budgets pin
-that (``Environment.event_loop_stats()`` counts every dispatched entry,
-so the guard is exact and independent of host speed); a change that
-quietly puts process bootstraps, resource grants or combinator hops
-back on the path fails here.  The process-per-layer version took 27/26
-steps per cache read/write, 34 per hedged router op and 37 per admitted
-tenant op.
+entry per timed stage and almost no zero-delay hops, and those entries
+are ``call_at`` calls and callback grants, not Events.  These budgets
+pin both counts exactly (``Environment.event_loop_stats()`` counts
+every dispatched entry and every Event dispatch, so the guard is exact
+and independent of host speed): a change that puts process bootstraps,
+resource grants or combinator hops back on the path fails the step
+budget, and one that turns a hop back into a Timeout or Event fails the
+event budget.  The process-per-layer version took 27/26 steps per cache
+read/write, 34 per hedged router op and 37 per admitted tenant op.
+
+The events left are the completion events the layers hand each other
+(a cache op's ``done``; the router's join plus the member cache's; the
+tenant tier adds its own ``done`` and its request process).
 """
 
 import pytest
@@ -21,9 +27,10 @@ REGION = 1 << 20
 SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=64)
 RECORD = b"r" * 64
 
-CACHE_BUDGET = 13
-ROUTER_BUDGET = 17
-TENANT_BUDGET = 20
+#: ``(steps, events)`` per idle op.
+CACHE_BUDGET = {"read": (10, 1), "write": (10, 1)}
+ROUTER_BUDGET = {"read": (12, 2), "write": (11, 2)}
+TENANT_BUDGET = {"read": (15, 4), "write": (14, 4)}
 
 
 def idle_stack():
@@ -41,14 +48,16 @@ def idle_stack():
 
 
 def steps_for(env, call):
-    """Kernel steps from issuing ``call()`` until the cluster is idle
-    again (hedge timers included)."""
+    """Kernel ``(steps, events)`` from issuing ``call()`` until the
+    cluster is idle again (hedge timers included)."""
     env.run()
-    before = env.event_loop_stats()["steps"]
+    before = env.event_loop_stats()
     done = call()
     env.run()
     assert done.processed and done.value.ok, done.value
-    return env.event_loop_stats()["steps"] - before
+    after = env.event_loop_stats()
+    return (after["steps"] - before["steps"],
+            after["events"] - before["events"])
 
 
 @pytest.mark.parametrize("kind", ["read", "write"])
@@ -56,7 +65,7 @@ def test_cache_op_budget(kind):
     env, cache, _router, _tier = idle_stack()
     call = ((lambda: cache.read(0, 64)) if kind == "read"
             else (lambda: cache.write(0, RECORD)))
-    assert steps_for(env, call) <= CACHE_BUDGET
+    assert steps_for(env, call) == CACHE_BUDGET[kind]
 
 
 @pytest.mark.parametrize("kind", ["read", "write"])
@@ -64,7 +73,7 @@ def test_hedged_router_op_budget(kind):
     env, _cache, router, _tier = idle_stack()
     call = ((lambda: router.read(64, 64)) if kind == "read"
             else (lambda: router.write(64, RECORD)))
-    assert steps_for(env, call) <= ROUTER_BUDGET
+    assert steps_for(env, call) == ROUTER_BUDGET[kind]
 
 
 @pytest.mark.parametrize("kind", ["read", "write"])
@@ -72,6 +81,6 @@ def test_admitted_tenant_op_budget(kind):
     env, _cache, _router, tier = idle_stack()
     call = ((lambda: tier.read("t", 64, 64)) if kind == "read"
             else (lambda: tier.write("t", 64, RECORD)))
-    steps = steps_for(env, call)
+    counts = steps_for(env, call)
     assert tier.stats("t")["admitted"] == 1
-    assert steps <= TENANT_BUDGET
+    assert counts == TENANT_BUDGET[kind]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
@@ -164,3 +165,49 @@ class TestAdmissionController:
         # The run exercised all three verdicts.
         seen = {verdict for _, _, verdict, _ in first_trace}
         assert seen >= {ADMIT, DELAY, SHED}
+
+
+def _three_call_admit(controller):
+    """The admission decision as three bucket calls (try_take, then
+    maturity_wait and viable, then reserve) -- the reference the
+    single-pass :meth:`AdmissionController.admit` must match."""
+    now = controller.env.now
+    if controller.bucket.try_take(now):
+        controller.admitted += 1
+        return ADMIT, 0.0
+    retry_after = controller.bucket.maturity_wait(now)
+    if (not controller.bucket.viable
+            or controller.queued >= controller.max_queue):
+        controller.shed += 1
+        return SHED, retry_after
+    wait = controller.bucket.reserve(now)
+    controller.queued += 1
+    controller.delayed += 1
+    return DELAY, wait
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate=st.sampled_from([0.0, 0.5, 10.0, 1234.5, 1e6]),
+    burst=st.sampled_from([0.0, 0.5, 1.0, 2.5, 32.0]),
+    max_queue=st.integers(0, 4),
+    steps=st.lists(st.tuples(
+        st.sampled_from(["arrive", "arrive", "release"]),
+        st.floats(0.0, 0.01, allow_nan=False)), max_size=120))
+def test_single_pass_admit_matches_three_call_decision(rate, burst,
+                                                       max_queue, steps):
+    clock = _Clock()
+    fast = AdmissionController(clock, rate, burst, max_queue=max_queue)
+    reference = AdmissionController(clock, rate, burst, max_queue=max_queue)
+    for action, advance in steps:
+        clock.now += advance
+        if action == "release":
+            if fast.queued:
+                fast.release()
+                reference.release()
+            continue
+        assert fast.admit() == _three_call_admit(reference)
+        assert fast.bucket._level == reference.bucket._level
+    assert ((fast.admitted, fast.delayed, fast.shed, fast.queued)
+            == (reference.admitted, reference.delayed, reference.shed,
+                reference.queued))
