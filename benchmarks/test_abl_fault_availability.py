@@ -17,7 +17,7 @@ from repro.core.client import RetryPolicy
 from repro.core.replication import ReplicatedCache
 from repro.faults import FaultInjector, FaultSchedule, VmKill, churn_run
 from repro.sim.clock import US
-from repro.workloads.scenarios import build_cluster
+from repro.workloads.scenarios import build_cluster, count_lost, member_kill
 
 REGION = 1 << 20
 CAPACITY = 4 * REGION
@@ -83,11 +83,7 @@ def _measure_replicated(bench_metrics):
     injector = FaultInjector(env, allocator=harness.allocator,
                              fabric=harness.fabric)
     injector.install_failure_hook()
-    kills = FaultSchedule([
-        VmKill(at=0.05, vm_index=i)
-        for i in range(len(group.primary.allocation.vms))
-    ])
-    injector.arm(kills, cache=group.primary)
+    injector.arm(member_kill(group.primary, at=0.05), cache=group.primary)
     acked = []
 
     def scenario(env):
@@ -111,11 +107,7 @@ def _measure_replicated(bench_metrics):
             if result.ok:
                 acked.append((i * WRITE_BYTES, payload))
         # Every acknowledged write must read back intact.
-        lost = 0
-        for addr, payload in acked:
-            result = yield group.read(addr, WRITE_BYTES)
-            if not (result.ok and result.data == payload):
-                lost += 1
+        lost = yield from count_lost(group.read, acked)
         return failover_window, len(acked), lost
 
     failover_window, n_acked, lost = env.run_process(scenario(env))

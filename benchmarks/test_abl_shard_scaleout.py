@@ -27,7 +27,7 @@ from repro.core import Slo
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import HotKeyPolicy, ShardRouter
 from repro.workloads.runner import run_router_workload
-from repro.workloads.scenarios import build_cluster
+from repro.workloads.scenarios import build_cluster, count_lost, fail_member
 from repro.workloads.ycsb import YcsbWorkload
 
 REGION = 1 << 20
@@ -198,9 +198,7 @@ def test_vm_kill_mid_run_loses_no_acked_writes(report):
             if (progress["killed_at"] is None
                     and progress["done"] >= kill_after):
                 progress["killed_at"] = env.now
-                for vm in list(members[victim].allocation.vms):
-                    if vm.alive:
-                        harness.allocator.fail(vm)
+                fail_member(harness, members[victim])
 
     for index in range(n_workers):
         env.process(worker(index, harness.rngs.stream(f"kill-w{index}")),
@@ -208,15 +206,8 @@ def test_vm_kill_mid_run_loses_no_acked_writes(report):
     env.run()
 
     def settle_and_verify():
-        while (router._membership_tail is not None
-               and not router._membership_tail.processed):
-            yield router._membership_tail
-        lost = []
-        for addr, payload in sorted(acked.items()):
-            result = yield router.read(addr, RECORD)
-            if not (result.ok and result.data == payload):
-                lost.append(addr)
-        return lost
+        yield from router.settle()
+        return (yield from count_lost(router.read, sorted(acked.items())))
 
     lost = env.run_process(settle_and_verify())
     rebalance = router.reports[-1]
@@ -224,7 +215,7 @@ def test_vm_kill_mid_run_loses_no_acked_writes(report):
            "VM kill mid-run: emergency rebalance durability "
            "(4 shards, replication=2)",
            [f"acked writes checked      {len(acked):>6}",
-            f"acked writes lost         {len(lost):>6}",
+            f"acked writes lost         {lost:>6}",
             f"rebalance moves           {rebalance.n_moves:>6}",
             f"rebalance bytes           {rebalance.bytes_moved:>6}",
             f"rebalance lost slots      {rebalance.lost_slots:>6}",
@@ -233,8 +224,8 @@ def test_vm_kill_mid_run_loses_no_acked_writes(report):
     assert progress["killed_at"] is not None, "kill must fire mid-run"
     assert victim not in router.members, "kill must trigger departure"
     assert rebalance.lost_slots == 0
-    assert lost == [], (
-        f"{len(lost)} acknowledged writes lost across the VM kill")
+    assert lost == 0, (
+        f"{lost} acknowledged writes lost across the VM kill")
 
 
 def test_same_seed_runs_are_bit_identical():

@@ -1,35 +1,28 @@
 """Command-line entry point: ``python -m repro``.
 
-Convenience launcher for a repository checkout:
+Convenience launcher for a repository checkout (``python -m repro
+--help`` lists every option):
 
-* ``python -m repro list`` -- enumerate the reproduction experiments;
-* ``python -m repro run fig03`` -- regenerate one table/figure;
-* ``python -m repro run all`` -- regenerate everything;
-* ``python -m repro metrics`` -- run an instrumented measurement and dump
-  its ``repro.obs`` registry (``--json`` for the raw blob);
-* ``python -m repro metrics fig07`` -- show a saved
-  ``BENCH_fig07_opt_latency.json``;
-* ``python -m repro sweep`` -- measure a configuration grid through the
-  parallel sweep executor and its on-disk result cache (``repro.exec``);
-* ``python -m repro kernelbench`` -- micro-benchmark the simulation
-  kernel (``Environment.step()`` throughput on the measurement workload);
-* ``python -m repro chaos spot-churn`` -- run one named fault-injection
-  scenario and dump its fault log + availability summary
-  (``repro.faults``); same seed, bit-identical fault trace;
-* ``python -m repro shard`` -- drive zipfian YCSB traffic across the
-  sharded scale-out tier (``repro.shard``) and dump the fleet stats;
-  ``--smoke`` runs the quick CI invariants (kill-survival, determinism);
-* ``python -m repro verbs`` -- A/B a dependent-GET workload over the
-  classic two-hop transport vs one-RTT remote-side verb programs;
-  ``--smoke`` is the CI gate (digest equivalence, latency win,
-  program/fallback accounting, same-seed determinism);
-* ``python -m repro lint`` -- run the determinism AST linter
-  (``repro.analysis``) over source paths; exit 0 clean, 1 findings,
-  2 internal error;
-* ``python -m repro sanitize`` -- run a named workload twice from one
-  seed and bisect the first diverging kernel event (``--smoke`` is the
-  CI replay-determinism gate);
-* ``python -m repro examples`` -- list the example applications.
+* ``list`` / ``run fig03`` / ``run all`` -- enumerate or regenerate the
+  reproduction experiments under ``benchmarks/``;
+* ``metrics [fig07]`` -- dump a live instrumented run's ``repro.obs``
+  registry, or a saved ``BENCH_*.json`` blob (``--json`` for the raw
+  blob);
+* ``sweep`` / ``kernelbench`` -- measure a configuration grid through
+  the parallel sweep executor (``repro.exec``); micro-benchmark the
+  simulation kernel's steps per second;
+* ``chaos NAME`` -- run one fault-injection scenario (``repro.faults``)
+  and dump its fault log and availability summary; exit 1 if a
+  declared check fails;
+* ``smoke [GATE ...]`` -- run the scenario gates (``repro.faults.gates``):
+  declared checks plus a same-seed replay; exit 1 on any failure;
+* ``shard`` / ``tenants`` / ``verbs`` / ``connstorm`` -- the shard fleet,
+  the multi-tenant tier, two-hop vs verb-program GETs and the
+  connection-storm ablation;
+* ``lint`` / ``sanitize`` -- the determinism AST linter and the
+  replay-divergence sanitizer (``repro.analysis``; exit 0 clean,
+  1 findings, 2 internal error);
+* ``examples`` -- list the example applications.
 """
 
 from __future__ import annotations
@@ -255,6 +248,26 @@ def cmd_kernelbench(rounds: int, batches: int,
     return 0
 
 
+def _emit(blob, as_json: bool, out: str | None) -> bool:
+    """Write ``blob`` to ``out``; print it and return true under --json."""
+    text = json.dumps(blob, indent=2, sort_keys=True)
+    if out:
+        pathlib.Path(out).write_text(text + "\n")
+    if as_json:
+        print(text)
+    return as_json
+
+
+def _print_verdict(failures: list[str], ok_line: str | None,
+                   stream=None) -> int:
+    """Print ``FAIL: <message>`` per failed check, else the OK line."""
+    for message in failures:
+        print(f"FAIL: {message}", file=stream)
+    if not failures and ok_line:
+        print(ok_line, file=stream)
+    return 1 if failures else 0
+
+
 def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
               out: str | None) -> int:
     """Run one named fault-injection scenario (``repro.faults``).
@@ -263,9 +276,12 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
     the whole report (events, summary, metrics snapshot, digest) as one
     machine-readable blob, and ``--out`` writes that blob to a file.
     Same seed, same scenario => bit-identical fault log (check the
-    digest).  Without a scenario name, lists what is available.
+    digest).  Exits 1 if the report fails one of the scenario's
+    declared checks (``repro.faults.gates``).  Without a scenario name,
+    lists what is available.
     """
     from repro.faults import SCENARIOS, run_scenario
+    from repro.faults.gates import GATES
 
     if scenario is None or scenario == "list":
         print(f"{'scenario':>14}  description")
@@ -278,6 +294,7 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
               f"try `python -m repro chaos list`")
         return 1
     report = run_scenario(scenario, seed=seed)
+    failures = GATES[scenario].failures({"chaos": report})
     blob = {
         "schema": "repro.faults/v1",
         "scenario": report.scenario,
@@ -288,12 +305,9 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
         "summary": report.summary,
         "metrics": report.metrics,
     }
-    if out:
-        pathlib.Path(out).write_text(
-            json.dumps(blob, indent=2, sort_keys=True) + "\n")
-    if as_json:
-        print(json.dumps(blob, indent=2, sort_keys=True))
-        return 0
+    if _emit(blob, as_json, out):
+        # Keep stdout one parseable blob; failures go to stderr.
+        return _print_verdict(failures, None, sys.stderr)
     print(f"== chaos {report.scenario} (seed {report.seed}) ==")
     print("fault log:")
     for event in report.log:
@@ -306,155 +320,38 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
     print(f"fault-log digest: {report.log.digest()}")
     if out:
         print(f"report written to {out}")
-    return 0
+    return _print_verdict(failures, None)
 
 
-def _shard_run(seed: int, shards: int, ops: int, replication: int,
-               hot: bool, kill: bool) -> dict:
-    """One deterministic fleet run; the blob both views print from."""
-    from repro.core import Slo
-    from repro.obs.metrics import MetricsRegistry
-    from repro.shard import HotKeyPolicy, ShardRouter
-    from repro.workloads.runner import run_router_workload
-    from repro.workloads.scenarios import build_cluster
-    from repro.workloads.ycsb import YcsbWorkload
+def cmd_smoke(names: list[str]) -> int:
+    """Run the named scenario gates (default: all) through the one
+    runner; print ``FAIL: <message>`` lines or each gate's OK line."""
+    from repro.faults.gates import GATES, run_gate
 
-    region = 1 << 20
-    capacity = 2 * region
-    record_bytes = 64
-    slo = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
-
-    registry = MetricsRegistry()
-    harness = build_cluster(seed=seed, metrics=registry)
-    client = harness.redy_client("shard-cli")
-    members = {
-        f"s{i:02d}": client.create(capacity, slo, duration_s=3600.0,
-                                   region_bytes=region)
-        for i in range(shards)
-    }
-    router = ShardRouter(
-        harness.env, members, slot_bytes=1 << 14,
-        replication=replication, hedge_after_s=200e-6,
-        hotkeys=HotKeyPolicy() if hot else None)
-    router.load(0, bytes(range(256)) * (capacity // 256))
-
-    workload = YcsbWorkload(
-        "cli-zipfian", n_records=capacity // record_bytes,
-        value_bytes=record_bytes, read_proportion=0.95,
-        update_proportion=0.05, distribution="zipfian", theta=0.99)
-    keys, is_read = workload.sample_ops(ops, harness.rngs.stream("ycsb"))
-    result = run_router_workload(
-        harness.env, router, keys=keys, is_read=is_read,
-        record_bytes=record_bytes, concurrency=8 * shards)
-
-    kill_stats = None
-    if kill:
-        victim_name = sorted(members)[1]
-        acked = {}
-
-        def kill_and_verify():
-            # Acknowledge a write per sampled slot, then hard-kill the
-            # victim and check every ack survives the rebalance.
-            for slot in range(0, router.n_slots, 4):
-                addr = slot * router.slot_bytes
-                data = bytes([slot % 251]) * record_bytes
-                res = yield router.write(addr, data)
-                assert res.ok
-                acked[addr] = data
-            for vm in list(members[victim_name].allocation.vms):
-                if vm.alive:
-                    harness.allocator.fail(vm)
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
-            lost = 0
-            for addr, data in acked.items():
-                res = yield router.read(addr, len(data))
-                if not (res.ok and res.data == data):
-                    lost += 1
-            return lost
-
-        lost = harness.env.run_process(kill_and_verify())
-        report = router.reports[-1]
-        kill_stats = {
-            "victim": victim_name,
-            "acked_writes_checked": len(acked),
-            "acked_writes_lost": lost,
-            "rebalance": report.to_dict(),
-            "members_after": router.members,
-        }
-
-    return {
-        "schema": "repro.shard/v1",
-        "seed": seed,
-        "shards": shards,
-        "replication": replication,
-        "hotkeys": hot,
-        "ops": ops,
-        "throughput_ops_s": result.throughput,
-        "latency_mean_s": result.latency_mean,
-        "latency_p99_s": result.latency_p99,
-        "reads": result.reads,
-        "writes": result.writes,
-        "failed": result.failed,
-        "hot_slots": {str(slot): list(extras)
-                      for slot, extras in sorted(
-                          router.hot_slots().items())},
-        "kill": kill_stats,
-        "metrics": registry.snapshot(),
-    }
+    unknown = [name for name in names if name not in GATES]
+    if unknown:
+        print(f"unknown gate(s) {', '.join(unknown)}; "
+              f"available: {', '.join(GATES)}")
+        return 2
+    status = 0
+    for name in names or GATES:
+        verdict = run_gate(name)
+        status |= _print_verdict(
+            [f"{name}: {message}" for message in verdict.failures],
+            None if verdict.failures
+            else verdict.gate.summary(verdict.results))
+    return status
 
 
 def cmd_shard(seed: int, shards: int, ops: int, replication: int,
-              no_hotkeys: bool, smoke: bool, as_json: bool,
-              out: str | None) -> int:
-    """Drive zipfian YCSB traffic across the sharded scale-out tier.
+              no_hotkeys: bool, as_json: bool, out: str | None) -> int:
+    """Zipfian YCSB across the shard fleet: throughput, latency, per-shard
+    load.  The kill-survival gate is ``python -m repro smoke shard``."""
+    from repro.faults.scenarios import shard_run
 
-    The default run reports fleet throughput/latency and per-shard
-    load; ``--smoke`` is the CI gate: it also hard-kills a member
-    mid-fleet (replication must keep every acknowledged write), then
-    repeats the run to assert bit-identical metrics.
-    """
     hot = not no_hotkeys
-    if smoke:
-        shards, ops, replication = min(shards, 4), min(ops, 3000), 2
-    blob = _shard_run(seed, shards, ops, replication, hot, kill=smoke)
-
-    if smoke:
-        failures = []
-        if blob["failed"]:
-            failures.append(f"{blob['failed']} workload ops failed")
-        kill = blob["kill"]
-        if kill["acked_writes_lost"]:
-            failures.append(
-                f"{kill['acked_writes_lost']} acknowledged writes lost")
-        if kill["rebalance"]["lost_slots"]:
-            failures.append(
-                f"{kill['rebalance']['lost_slots']} slots lost in "
-                "rebalance")
-        if len(kill["members_after"]) != shards - 1:
-            failures.append("victim still on the ring")
-        replay = _shard_run(seed, shards, ops, replication, hot,
-                            kill=smoke)
-        if replay["metrics"] != blob["metrics"]:
-            failures.append("same-seed replay diverged")
-        for line in failures:
-            print(f"FAIL: {line}")
-        if not failures:
-            print(f"shard smoke OK: {shards} shards, {blob['ops']} ops, "
-                  f"{blob['throughput_ops_s']:.0f} ops/s, kill of "
-                  f"{kill['victim']} survived with 0 lost acks, "
-                  "replay bit-identical")
-        if out:
-            pathlib.Path(out).write_text(
-                json.dumps(blob, indent=2, sort_keys=True) + "\n")
-        return 1 if failures else 0
-
-    if out:
-        pathlib.Path(out).write_text(
-            json.dumps(blob, indent=2, sort_keys=True) + "\n")
-    if as_json:
-        print(json.dumps(blob, indent=2, sort_keys=True))
+    blob = shard_run(seed, shards, ops, replication, hot, kill=False)
+    if _emit(blob, as_json, out):
         return 0
     print(f"== shard fleet (seed {seed}) ==")
     print(f"shards={shards} replication={replication} "
@@ -478,216 +375,13 @@ def cmd_shard(seed: int, shards: int, ops: int, replication: int,
     return 0
 
 
-def _tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
-    """One deterministic multi-tenant run; pure in (args).
+def cmd_tenants(seed: int, ops: int, as_json: bool, out: str | None) -> int:
+    """Per-tenant admission and latency under an abusive scavenger.  The
+    isolation and fail-open gate is ``python -m repro smoke tenants``."""
+    from repro.faults.scenarios import tenants_run
 
-    Three tenants (premium / standard / scavenger) share a 3-member
-    replication=1 fleet through a :class:`~repro.tenant.TenantTier`.
-    ``abusive`` adds an open-loop scavenger flood at 10x its admitted
-    rate; ``kill`` hard-kills one member mid-run and then verifies that
-    every acknowledged write is still readable after recovery.
-    """
-    from repro.core import Slo
-    from repro.obs.metrics import MetricsRegistry
-    from repro.shard import ShardRouter
-    from repro.tenant import TenantSpec, TenantTier
-    from repro.workloads.scenarios import build_cluster
-
-    region = 1 << 18
-    capacity = 2 * region
-    record = 64
-    namespace = 64 * 1024
-    slo = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
-
-    registry = MetricsRegistry()
-    harness = build_cluster(seed=seed, metrics=registry)
-    env = harness.env
-    client = harness.redy_client("tenant-cli")
-    members = {
-        f"s{i:02d}": client.create(capacity, slo, duration_s=3600.0,
-                                   region_bytes=region)
-        for i in range(3)
-    }
-    router = ShardRouter(env, members, slot_bytes=1 << 12, replication=1)
-    tier = TenantTier(env, router)
-    tier.register(TenantSpec(name="prem", namespace_bytes=namespace,
-                             rate_per_s=400_000.0, burst=64.0,
-                             slo_class="premium", probe_interval_s=2e-3))
-    tier.register(TenantSpec(name="std", namespace_bytes=namespace,
-                             rate_per_s=200_000.0, burst=32.0,
-                             slo_class="standard", probe_interval_s=2e-3))
-    scav_rate = 20_000.0
-    tier.register(TenantSpec(name="scav", namespace_bytes=namespace,
-                             rate_per_s=scav_rate, burst=16.0,
-                             max_queue=32, slo_class="scavenger",
-                             probe_interval_s=2e-3))
-    seed_bytes = bytes(range(256)) * (namespace // 256)
-    for name in ("prem", "std", "scav"):
-        tier.load(name, 0, seed_bytes)
-
-    workers_per_tenant = 4
-    latencies = {"prem": [], "std": []}
-    acked = {"prem": {}, "std": {}}
-    progress = {"done": 0, "killed": False, "live_workers": 0}
-    kill_after = ops  # half of the two tracked tenants' combined ops
-
-    def worker(tenant: str, index: int, rng, n_ops: int):
-        progress["live_workers"] += 1
-        records = namespace // record
-        for op in range(n_ops):
-            rec = int(rng.integers(0, records))
-            # Disjoint per-worker address sets: last-acked is unique.
-            rec = (rec - rec % workers_per_tenant + index) % records
-            addr = rec * record
-            if op % 4 == 0:
-                payload = bytes([(index * 37 + op) % 251]) * record
-                result = yield tier.write(tenant, addr, payload)
-                if result.ok:
-                    acked[tenant][addr] = payload
-            else:
-                result = yield tier.read(tenant, addr, record)
-                if result.ok:
-                    latencies[tenant].append(result.latency)
-            progress["done"] += 1
-            if (kill and not progress["killed"]
-                    and progress["done"] >= kill_after):
-                progress["killed"] = True
-                for vm in list(members["s01"].allocation.vms):
-                    if vm.alive:
-                        harness.allocator.fail(vm)
-        progress["live_workers"] -= 1
-
-    def abusive_load():
-        # Open loop at 10x the scavenger's admitted rate: nothing
-        # awaits the results, so shedding is what bounds the queue.
-        interval = 1.0 / (10.0 * scav_rate)
-        rng = harness.rngs.stream("tenant-cli-abusive")
-        while progress["live_workers"] > 0:
-            addr = int(rng.integers(0, namespace // record)) * record
-            tier.write("scav", addr, b"\xab" * record)
-            yield env.timeout(interval)
-
-    per_worker = max(1, ops // workers_per_tenant)
-    for tenant in ("prem", "std"):
-        for index in range(workers_per_tenant):
-            env.process(
-                worker(tenant, index,
-                       harness.rngs.stream(f"tenant-cli:{tenant}:{index}"),
-                       per_worker),
-                name=f"tenant-cli:{tenant}:{index}")
-    if abusive:
-        env.process(abusive_load(), name="tenant-cli-abusive")
-    env.run()
-
-    def settle_and_verify():
-        while (router._membership_tail is not None
-               and not router._membership_tail.processed):
-            yield router._membership_tail
-        while any(tier.tenant(n).degraded for n in tier.tenants):
-            yield env.timeout(1e-3)
-        lost = 0
-        for tenant in ("prem", "std"):
-            for addr, payload in sorted(acked[tenant].items()):
-                result = yield tier.read(tenant, addr, record)
-                if not (result.ok and result.data == payload):
-                    lost += 1
-        return lost
-
-    lost = env.run_process(settle_and_verify())
-
-    def p99(values):
-        ordered = sorted(values)
-        return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
-
-    blob = {
-        "schema": "repro.tenants/v1",
-        "seed": seed,
-        "ops": ops,
-        "abusive": abusive,
-        "kill": kill,
-        "premium_read_p99_s": p99(latencies["prem"]),
-        "standard_read_p99_s": p99(latencies["std"]),
-        "acked_writes_checked": sum(len(a) for a in acked.values()),
-        "acked_writes_lost": lost,
-        "members_after": router.members,
-        "tenants": {name: tier.stats(name) for name in tier.tenants},
-        "metrics": registry.snapshot(),
-    }
-    if kill and router.reports:
-        blob["rebalance"] = router.reports[-1].to_dict()
-    return blob
-
-
-def cmd_tenants(seed: int, ops: int, smoke: bool, as_json: bool,
-                out: str | None) -> int:
-    """Drive mixed-SLO tenants through the multi-tenant serving tier.
-
-    The default run reports per-tenant admission/latency under an
-    abusive scavenger; ``--smoke`` is the CI gate: a quiet baseline vs
-    an abusive run must keep the premium p99 within budget, a mid-run
-    member kill must degrade to fail-open with zero lost acked writes
-    and re-promote, and a same-seed replay must be bit-identical.
-    """
-    if smoke:
-        ops = min(ops, 2400)
-        #: Budget: the abusive tenant may not move the quiet premium
-        #: tenant's read p99 by more than this factor (plus a 2 us
-        #: absolute floor for tiny-sample jitter).
-        budget_factor = 1.5
-        baseline = _tenants_run(seed, ops, abusive=False, kill=False)
-        noisy = _tenants_run(seed, ops, abusive=True, kill=False)
-        chaos = _tenants_run(seed, ops, abusive=True, kill=True)
-        replay = _tenants_run(seed, ops, abusive=True, kill=True)
-
-        failures = []
-        base_p99 = baseline["premium_read_p99_s"]
-        noisy_p99 = noisy["premium_read_p99_s"]
-        budget = max(base_p99 * budget_factor, base_p99 + 2e-6)
-        if noisy_p99 > budget:
-            failures.append(
-                f"noisy-neighbor moved premium read p99 "
-                f"{base_p99 * 1e6:.2f} -> {noisy_p99 * 1e6:.2f} us "
-                f"(budget {budget * 1e6:.2f} us)")
-        if not noisy["tenants"]["scav"]["shed"]:
-            failures.append("abusive scavenger was never shed")
-        if noisy["tenants"]["prem"]["shed"]:
-            failures.append("quiet premium tenant was shed")
-        prem_chaos = chaos["tenants"]["prem"]
-        if not prem_chaos["degradations"]:
-            failures.append("member kill did not degrade the premium "
-                            "tenant")
-        if prem_chaos["degradations"] > prem_chaos["repromotions"]:
-            failures.append("premium tenant was not re-promoted")
-        if not prem_chaos["fail_open_reads"]:
-            failures.append("no reads failed open during degradation")
-        if chaos["acked_writes_lost"]:
-            failures.append(f"{chaos['acked_writes_lost']} acknowledged "
-                            "writes lost across the kill")
-        if len(chaos["members_after"]) != 2:
-            failures.append("victim still on the ring")
-        if replay["metrics"] != chaos["metrics"]:
-            failures.append("same-seed replay diverged")
-        for line in failures:
-            print(f"FAIL: {line}")
-        if not failures:
-            print(f"tenants smoke OK: premium p99 "
-                  f"{base_p99 * 1e6:.2f} -> {noisy_p99 * 1e6:.2f} us under "
-                  f"10x abuse (budget {budget * 1e6:.2f} us), "
-                  f"{noisy['tenants']['scav']['shed']} sheds, kill "
-                  f"survived with 0 lost acks and "
-                  f"{prem_chaos['repromotions']} re-promotion(s), "
-                  "replay bit-identical")
-        if out:
-            pathlib.Path(out).write_text(
-                json.dumps(chaos, indent=2, sort_keys=True) + "\n")
-        return 1 if failures else 0
-
-    blob = _tenants_run(seed, ops, abusive=True, kill=False)
-    if out:
-        pathlib.Path(out).write_text(
-            json.dumps(blob, indent=2, sort_keys=True) + "\n")
-    if as_json:
-        print(json.dumps(blob, indent=2, sort_keys=True))
+    blob = tenants_run(seed, ops, abusive=True, kill=False)
+    if _emit(blob, as_json, out):
         return 0
     print(f"== tenant tier (seed {seed}) ==")
     print(f"premium read p99 {blob['premium_read_p99_s'] * 1e6:.2f} us   "
@@ -703,133 +397,15 @@ def cmd_tenants(seed: int, ops: int, smoke: bool, as_json: bool,
     return 0
 
 
-def _verbs_run(seed: int, ops: int, programs: bool) -> dict:
-    """One dependent-GET pass on a fresh testbed; pure in (args)."""
-    import hashlib
-    import struct
+def cmd_verbs(seed: int, ops: int, as_json: bool) -> int:
+    """A/B dependent GETs (write, swing pointer, dependent read) over the
+    two-hop transport vs one-RTT verb programs.  The equivalence and
+    latency-win gate is ``python -m repro smoke verbs``."""
+    from repro.faults.scenarios import verbs_run
 
-    from repro.core import Slo
-    from repro.obs.metrics import MetricsRegistry
-    from repro.workloads.scenarios import build_cluster
-
-    region = 1 << 20
-    capacity = 4 * region
-    record_bytes = 256
-    registry = MetricsRegistry()
-    harness = build_cluster(seed=seed, metrics=registry)
-    env = harness.env
-    client = harness.redy_client("verbs-smoke")
-    cache = client.create(
-        capacity, Slo(max_latency=1e-3, min_throughput=1e5,
-                      record_size=record_bytes),
-        duration_s=3600.0, region_bytes=region,
-        use_verb_programs=programs)
-
-    digest = hashlib.sha256()
-    stats = {"ok": 0, "failed": 0, "latency_s": 0.0}
-    n_regions = capacity // region
-
-    def body():
-        for index in range(ops):
-            reg = index % n_regions
-            pointer_addr = reg * region + 64
-            # Region-local record offset; vary it so the chase actually
-            # has to dereference the pointer word, not a fixed address.
-            local = 4096 + (index % 7) * 512
-            payload = bytes((index + j) % 251 for j in range(record_bytes))
-            wrote = yield cache.write(reg * region + local, payload)
-            swung = yield cache.write(pointer_addr,
-                                      struct.pack("<Q", local))
-            read = yield cache.dependent_read(pointer_addr, record_bytes)
-            if wrote.ok and swung.ok and read.ok and read.data == payload:
-                stats["ok"] += 1
-                stats["latency_s"] += read.latency
-                digest.update(read.data)
-            else:
-                stats["failed"] += 1
-
-    env.run_process(body(), name="verbs-workload")
-
-    def metric(name: str) -> int:
-        value = registry.get(name)
-        return int(value.value) if value is not None else 0
-
-    mean_us = (stats["latency_s"] / stats["ok"] * 1e6
-               if stats["ok"] else 0.0)
-    return {
-        "transport": "program" if programs else "two-hop",
-        "seed": seed,
-        "ops": ops,
-        "ok": stats["ok"],
-        "failed": stats["failed"],
-        "digest": digest.hexdigest(),
-        "read_latency_mean_us": mean_us,
-        "programs": metric("engine.programs"),
-        "two_hop_reads": metric("engine.two_hop_reads"),
-        "program_fallbacks": metric("engine.program_fallbacks"),
-        "program_cas_aborts": metric("engine.program_cas_aborts"),
-    }
-
-
-def cmd_verbs(seed: int, ops: int, smoke: bool, as_json: bool) -> int:
-    """A/B dependent GETs: two-hop transport vs one-RTT verb programs.
-
-    Runs the same pointer-chase workload (write record, swing pointer
-    word, dependent-read it back) under both transports.  ``--smoke``
-    is the CI gate: byte-identical read-back digests, a program-path
-    latency win, clean program/fallback accounting, and a same-seed
-    replay that must be bit-identical.
-    """
-    if smoke:
-        ops = min(ops, 48)
-    two_hop = _verbs_run(seed, ops, programs=False)
-    program = _verbs_run(seed, ops, programs=True)
-
-    if smoke:
-        failures = []
-        if two_hop["failed"] or program["failed"]:
-            failures.append(
-                f"failed ops: two-hop {two_hop['failed']}, "
-                f"program {program['failed']}")
-        if two_hop["digest"] != program["digest"]:
-            failures.append("transport digests diverge: "
-                            "program reads returned different bytes")
-        if program["read_latency_mean_us"] \
-                >= two_hop["read_latency_mean_us"]:
-            failures.append(
-                f"no latency win: program "
-                f"{program['read_latency_mean_us']:.2f}us vs two-hop "
-                f"{two_hop['read_latency_mean_us']:.2f}us")
-        if program["programs"] != program["ok"]:
-            failures.append(
-                f"{program['ok']} chases but {program['programs']} "
-                "programs issued")
-        if program["program_fallbacks"] or program["program_cas_aborts"]:
-            failures.append("unexpected aborts/fallbacks on a quiet "
-                            "cluster")
-        if two_hop["programs"]:
-            failures.append("two-hop run issued verb programs")
-        if two_hop["two_hop_reads"] != two_hop["ok"]:
-            failures.append(
-                f"{two_hop['ok']} chases but {two_hop['two_hop_reads']} "
-                "two-hop reads")
-        replay = _verbs_run(seed, ops, programs=True)
-        if replay != program:
-            failures.append("same-seed replay diverged")
-        for line in failures:
-            print(f"FAIL: {line}")
-        if not failures:
-            ratio = (two_hop["read_latency_mean_us"]
-                     / program["read_latency_mean_us"])
-            print(f"verbs smoke OK: {ops} chases, digests equal, "
-                  f"program {program['read_latency_mean_us']:.2f}us vs "
-                  f"two-hop {two_hop['read_latency_mean_us']:.2f}us "
-                  f"({ratio:.2f}x), replay bit-identical")
-        return 1 if failures else 0
-
-    if as_json:
-        print(json.dumps({"two_hop": two_hop, "program": program},
-                         indent=2, sort_keys=True))
+    two_hop = verbs_run(seed, ops, programs=False)
+    program = verbs_run(seed, ops, programs=True)
+    if _emit({"two_hop": two_hop, "program": program}, as_json, None):
         return 0
     print(f"== dependent GETs, two-hop vs verb programs (seed {seed}) ==")
     for blob in (two_hop, program):
@@ -845,77 +421,24 @@ def cmd_verbs(seed: int, ops: int, smoke: bool, as_json: bool) -> int:
     return 0
 
 
-def cmd_connstorm(seed: int, clients: int, reads: int, smoke: bool,
-                  as_json: bool, out: str | None) -> int:
+def cmd_connstorm(seed: int, clients: int, reads: int, as_json: bool,
+                  out: str | None) -> int:
     """Connection-storm ablation: naive QPs vs pooled vs pooled+lazy.
 
     Slams one cache tier with ``clients`` sessions arriving inside a
     50 ms window under each pool strategy and reports the TTFB
     percentiles -- the control-plane bill each strategy leaves on the
-    open path.  ``--smoke`` is the CI gate: every storm completes with
-    zero failures and zero leaked QPs/regions, pooling cuts both p99
-    TTFB and registrations vs the naive baseline, the demux never
-    misroutes, and a same-seed replay is bit-identical.
+    open path.  The completion, leak, p99-win and determinism gate is
+    ``python -m repro smoke connstorm``.
     """
     from repro.cplane import run_connection_storm
     from repro.cplane.pool import STRATEGIES
 
-    if smoke:
-        clients = min(clients, 1200)
     runs = {strategy: run_connection_storm(seed, clients=clients,
                                            strategy=strategy,
                                            reads_per_session=reads)
             for strategy in STRATEGIES}
-    naive = runs["per-client"]
-    lazy = runs["pooled-lazy"]
-
-    if smoke:
-        failures = []
-        for strategy, blob in runs.items():
-            if blob["completed"] != clients or blob["failures"]:
-                failures.append(
-                    f"{strategy}: {blob['completed']}/{clients} sessions, "
-                    f"{blob['failures']} failed reads")
-            if blob["leaked_qps"] or blob["leaked_client_regions"]:
-                failures.append(
-                    f"{strategy}: leaked {blob['leaked_qps']} QPs / "
-                    f"{blob['leaked_client_regions']} regions after "
-                    "harvest")
-            if blob["pool_totals"].get("demux_misroutes"):
-                failures.append(f"{strategy}: completion demux misrouted")
-        if lazy["ttfb_us"]["p99"] >= naive["ttfb_us"]["p99"]:
-            failures.append(
-                f"no p99 win: pooled-lazy {lazy['ttfb_us']['p99']:.1f}us "
-                f"vs naive {naive['ttfb_us']['p99']:.1f}us")
-        if lazy["mr_registrations"] >= naive["mr_registrations"]:
-            failures.append(
-                f"pooling did not amortize registrations "
-                f"({lazy['mr_registrations']} vs "
-                f"{naive['mr_registrations']})")
-        replay = run_connection_storm(seed, clients=clients,
-                                      strategy="pooled-lazy",
-                                      reads_per_session=reads)
-        if replay != lazy:
-            failures.append("same-seed storm replay diverged")
-        for line in failures:
-            print(f"FAIL: {line}")
-        if not failures:
-            ratio = naive["ttfb_us"]["p99"] / max(lazy["ttfb_us"]["p99"],
-                                                  1e-9)
-            print(f"connstorm smoke OK: {clients} clients, p99 TTFB "
-                  f"naive {naive['ttfb_us']['p99']:.1f}us vs pooled-lazy "
-                  f"{lazy['ttfb_us']['p99']:.1f}us ({ratio:.1f}x), "
-                  f"0 leaks, replay bit-identical")
-        if out:
-            pathlib.Path(out).write_text(
-                json.dumps(runs, indent=2, sort_keys=True) + "\n")
-        return 1 if failures else 0
-
-    if out:
-        pathlib.Path(out).write_text(
-            json.dumps(runs, indent=2, sort_keys=True) + "\n")
-    if as_json:
-        print(json.dumps(runs, indent=2, sort_keys=True))
+    if _emit(runs, as_json, out):
         return 0
     print(f"== connection storm, {clients} clients in 50 ms "
           f"(seed {seed}) ==")
@@ -1005,6 +528,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro",
         description="Redy (VLDB 2021) reproduction launcher")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit the full report as one JSON blob")
+    report.add_argument("--out", default=None,
+                        help="also write the JSON report to this file")
     sub.add_parser("list", help="list reproduction experiments")
     run = sub.add_parser("run", help="regenerate one experiment (or all)")
     run.add_argument("experiment", help="experiment id, e.g. fig03, or all")
@@ -1048,71 +577,45 @@ def main(argv: list[str] | None = None) -> int:
                              help="CI regression floor: exit 1 if the "
                                   "best rate falls below this")
     chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[report],
         help="run a named fault-injection scenario (repro.faults)")
     chaos.add_argument(
         "scenario", nargs="?", default=None,
         help="scenario name (omit or use 'list' to enumerate)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the full report as one JSON blob")
-    chaos.add_argument("--out", default=None,
-                       help="also write the JSON report to this file")
     shard = sub.add_parser(
-        "shard",
+        "shard", parents=[report],
         help="drive YCSB traffic across the sharded scale-out tier")
-    shard.add_argument("--seed", type=int, default=0)
     shard.add_argument("--shards", type=int, default=4)
     shard.add_argument("--ops", type=int, default=6000)
     shard.add_argument("--replication", type=int, default=2)
     shard.add_argument("--no-hotkeys", action="store_true",
                        help="disable hot-key replication")
-    shard.add_argument("--smoke", action="store_true",
-                       help="CI gate: kill-survival + determinism checks")
-    shard.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the full report as one JSON blob")
-    shard.add_argument("--out", default=None,
-                       help="also write the JSON report to this file")
     tenants = sub.add_parser(
-        "tenants",
+        "tenants", parents=[report],
         help="drive mixed-SLO tenants through the serving tier")
-    tenants.add_argument("--seed", type=int, default=0)
     tenants.add_argument("--ops", type=int, default=2400,
                          help="tracked ops per tenant (prem + std)")
-    tenants.add_argument("--smoke", action="store_true",
-                         help="CI gate: isolation + degradation "
-                              "fail-open + determinism checks")
-    tenants.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the full report as one JSON blob")
-    tenants.add_argument("--out", default=None,
-                         help="also write the JSON report to this file")
     verbs = sub.add_parser(
         "verbs",
         help="A/B dependent GETs: two-hop vs one-RTT verb programs")
     verbs.add_argument("--seed", type=int, default=0)
     verbs.add_argument("--ops", type=int, default=200,
                        help="pointer chases per transport")
-    verbs.add_argument("--smoke", action="store_true",
-                       help="CI gate: digest equivalence + latency win "
-                            "+ determinism checks")
     verbs.add_argument("--json", action="store_true", dest="as_json",
                        help="emit both runs as one JSON blob")
     connstorm = sub.add_parser(
-        "connstorm",
+        "connstorm", parents=[report],
         help="connection-storm ablation: naive vs pooled vs pooled+lazy")
-    connstorm.add_argument("--seed", type=int, default=0)
     connstorm.add_argument("--clients", type=int, default=20000,
                            help="sessions arriving inside the 50 ms window")
     connstorm.add_argument("--reads", type=int, default=1,
                            help="reads per session (spreads NIC context "
                                 "touches)")
-    connstorm.add_argument("--smoke", action="store_true",
-                           help="CI gate: completion + leak + p99 win "
-                                "+ determinism checks")
-    connstorm.add_argument("--json", action="store_true", dest="as_json",
-                           help="emit all three runs as one JSON blob")
-    connstorm.add_argument("--out", default=None,
-                           help="write the JSON blob to this path")
+    smoke = sub.add_parser(
+        "smoke",
+        help="run the scenario gates: declared checks + same-seed replay")
+    smoke.add_argument("gates", nargs="*", default=[],
+                       help="gate names (default: all)")
     lint = sub.add_parser(
         "lint",
         help="run the determinism AST linter (repro.analysis)")
@@ -1157,18 +660,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "chaos":
             return cmd_chaos(args.scenario, args.seed, args.as_json,
                              args.out)
+        if args.command == "smoke":
+            return cmd_smoke(args.gates)
         if args.command == "shard":
             return cmd_shard(args.seed, args.shards, args.ops,
                              args.replication, args.no_hotkeys,
-                             args.smoke, args.as_json, args.out)
+                             args.as_json, args.out)
         if args.command == "tenants":
-            return cmd_tenants(args.seed, args.ops, args.smoke,
-                               args.as_json, args.out)
+            return cmd_tenants(args.seed, args.ops, args.as_json, args.out)
         if args.command == "verbs":
-            return cmd_verbs(args.seed, args.ops, args.smoke, args.as_json)
+            return cmd_verbs(args.seed, args.ops, args.as_json)
         if args.command == "connstorm":
             return cmd_connstorm(args.seed, args.clients, args.reads,
-                                 args.smoke, args.as_json, args.out)
+                                 args.as_json, args.out)
         if args.command == "lint":
             return cmd_lint(args.paths, args.fmt, args.rules)
         if args.command == "sanitize":

@@ -558,6 +558,12 @@ class ShardRouter:
             lambda: self._depart_op(member, emergency),
             f"shard-depart:{name}")
 
+    def settle(self):
+        """``yield from`` it to wait out every queued join/depart."""
+        while (self._membership_tail is not None
+               and not self._membership_tail.processed):
+            yield self._membership_tail
+
     def _serialized(self, op: Callable, name: str) -> Event:
         """Chain a membership operation behind any in-flight one."""
         done = self.env.event()

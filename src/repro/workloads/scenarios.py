@@ -14,7 +14,7 @@ size, and Redy cache : database size -- identical to the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 from repro.cluster import PhysicalServer, VmAllocator
 from repro.core import Slo
@@ -34,8 +34,9 @@ from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.workloads.ycsb import YcsbWorkload, paper_read_only
 
-__all__ = ["ClusterHarness", "FasterScenario", "build_cluster",
-           "build_faster_store"]
+__all__ = ["ClusterHarness", "FasterScenario", "ReadBackProbe",
+           "build_cluster", "build_faster_store", "count_lost",
+           "fail_member", "floor_p99", "member_kill", "open_loop_writes"]
 
 #: Throughput-oriented SLO for the FASTER cache, as in §8.3: "Throughput
 #: is the critical metric for this benchmark, so we configure the Redy
@@ -83,6 +84,102 @@ def build_cluster(seed: int = 0, n_servers: int = 8,
                            provisioning_delay_s=provisioning_delay_s)
     return ClusterHarness(env=env, rngs=rngs, fabric=fabric,
                           allocator=allocator, manager=manager)
+
+
+def fail_member(harness: ClusterHarness, cache: RedyCache) -> None:
+    """Hard-kill every live VM backing ``cache``: a whole-member loss."""
+    for vm in list(cache.allocation.vms):
+        if vm.alive:
+            harness.allocator.fail(vm)
+
+
+def member_kill(cache: RedyCache, at: float):
+    """A fault schedule that kills every VM of ``cache`` at ``at``."""
+    from repro.faults.spec import FaultSchedule, VmKill  # imports us
+
+    return FaultSchedule([VmKill(at=at, vm_index=i)
+                          for i in range(len(cache.allocation.vms))])
+
+
+def count_lost(read: Callable, acked: Iterable[Tuple[int, bytes]]):
+    """Generator: read back each acked ``(addr, payload)`` in order via
+    ``read(addr, nbytes)``; return how many failed or came back wrong."""
+    lost = 0
+    for addr, payload in acked:
+        result = yield read(addr, len(payload))
+        if not (result.ok and result.data == payload):
+            lost += 1
+    return lost
+
+
+class ReadBackProbe:
+    """Write-then-read-back probes that count lost acknowledged writes.
+
+    Each call writes a fresh payload, reads it back, and returns an
+    event that fires with the probe's outcome and end-to-end latency.
+    ``write(index, payload)`` is a generator returning the write's
+    result; a write that is never acked is an unavailable probe, not a
+    lost write.  ``read(index, nbytes)`` returns the read-back event.
+    """
+
+    def __init__(self, env: Environment, name: str, record_bytes: int,
+                 write: Callable, read: Callable):
+        self.env = env
+        self.name = name
+        self.record_bytes = record_bytes
+        self._write = write
+        self._read = read
+        self.issued = 0
+        self.acked = 0
+        self.verified = 0
+        self.lost = 0
+
+    def __call__(self):
+        done = self.env.event()
+        index = self.issued
+        self.issued += 1
+        self.env.process(self._body(index, done),
+                         name=f"{self.name}-{index}")
+        return done
+
+    def _body(self, index: int, done):
+        started = self.env.now
+        payload = bytes([(index + j) % 251
+                         for j in range(self.record_bytes)])
+        result = yield from self._write(index, payload)
+        ok, error = result.ok, result.error
+        if ok:
+            self.acked += 1
+            result = yield self._read(index, self.record_bytes)
+            ok = result.ok and result.data == payload
+            if ok:
+                self.verified += 1
+            else:
+                self.lost += 1
+                error = result.error or "acked write read back wrong"
+        done.succeed(type(result)(ok=ok, error=error,
+                                  latency=self.env.now - started))
+
+
+def open_loop_writes(env: Environment, tier, tenant: str, rng, *,
+                     rate_per_s: float, namespace_bytes: int,
+                     record_bytes: int, running: Callable[[], bool]):
+    """Generator: an open-loop write flood at ``rate_per_s``.
+
+    Nothing awaits the results, so the tier's admission shedding is all
+    that keeps the queue bounded.  Runs while ``running()`` holds.
+    """
+    interval = 1.0 / rate_per_s
+    while running():
+        addr = int(rng.integers(0, namespace_bytes // record_bytes))
+        tier.write(tenant, addr * record_bytes, b"\xab" * record_bytes)
+        yield env.timeout(interval)
+
+
+def floor_p99(values: Iterable[float]) -> float:
+    """``sorted(values)[floor(0.99 * (n - 1))]``, or 0.0 if empty."""
+    ordered = sorted(values)
+    return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
 
 
 def strand_servers(harness: ClusterHarness, count: int,

@@ -1,27 +1,70 @@
-"""The fault plane's determinism contract (ISSUE acceptance).
+"""The fault plane's determinism contract, and the scenario gates.
 
-Same seed, same scenario => **bit-identical** fault log (compared by
-SHA-256 digest over the canonical JSONL serialization) and identical
-metrics snapshots.  This holds across repeated runs *within one
-process* -- the hard case, since any module-global counter or hidden
-RNG shows up as a second-run divergence here.
+Same seed, same scenario => **bit-identical** fault log (compared as
+the canonical JSONL serialization), metrics, summary and clock.  This
+holds across repeated runs *within one process* -- the hard case, since
+any module-global counter or hidden RNG shows up as a second-run
+divergence here.  Every scenario gate (``repro.faults.gates``) goes
+through the one runner, which replays its chosen run and evaluates its
+declared checks; a gate must also catch a corrupted result.
 """
+
+import copy
+import dataclasses
+import functools
 
 import pytest
 
-from repro.faults import SCENARIOS, run_scenario
+from repro.faults import SCENARIOS, ChaosReport, run_scenario
+from repro.faults.gates import GATES, run_gate
 from repro.faults.scenarios import churn_run
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@functools.lru_cache(maxsize=None)
+def _verdict(name):
+    # Shared by both gate tests, so each gate runs (and replays) once.
+    return run_gate(name)
+
+
+def test_every_chaos_scenario_is_a_gate():
+    assert set(SCENARIOS) <= set(GATES)
+
+
+@pytest.mark.parametrize("name", list(GATES))
 def test_same_seed_is_bit_identical(name):
-    first = run_scenario(name, seed=0)
-    second = run_scenario(name, seed=0)
-    assert first.log.digest() == second.log.digest()
-    assert first.log.to_jsonl() == second.log.to_jsonl()
-    assert first.metrics == second.metrics
-    assert first.summary == second.summary
-    assert first.sim_now == second.sim_now
+    """The gate's replay is bit-identical and every declared check holds."""
+    assert _verdict(name).failures == []
+
+
+#: Gates that read acked writes back: corrupt them with one lost write.
+LOST_WRITE = {
+    "shard": lambda r: r["shard"]["kill"].update(acked_writes_lost=1),
+    "tenants": lambda r: r["chaos"].update(acked_writes_lost=1),
+    "spot-evict-programs":
+        lambda r: r["chaos"].summary.update(lost_acked_writes=1.0),
+    "conn-storm-rebalance":
+        lambda r: r["chaos"].summary.update(lost_acked_writes=1.0),
+}
+
+
+def _diverged(result):
+    if isinstance(result, ChaosReport):
+        return dataclasses.replace(result, sim_now=result.sim_now + 1e-9)
+    return {**result, "diverged": True}
+
+
+@pytest.mark.parametrize("name", list(GATES))
+def test_gate_fails_a_corrupted_result(name):
+    verdict = _verdict(name)
+    gate = verdict.gate
+    assert gate.failures(verdict.results, _diverged(verdict.replay)) == [
+        "same-seed replay diverged"]
+    if name in LOST_WRITE:
+        results = copy.deepcopy(verdict.results)
+        LOST_WRITE[name](results)
+        failures = gate.failures(results)
+        assert len(failures) == 1
+        assert "lost" in failures[0] and "] = 1" in failures[0]
 
 
 def test_different_seed_diverges_when_randomized():
@@ -39,19 +82,3 @@ def test_churn_runs_inject_faults_and_log_them():
     # Every injected fault is in the log with a simulated timestamp.
     assert all(event.time >= 0.5 for event in report.log
                if event.kind in ("vm-eviction", "vm-kill"))
-
-
-def test_noisy_neighbor_isolates_and_recovers():
-    report = run_scenario("noisy-neighbor", seed=0)
-    summary = report.summary
-    # The abusive tenant is shed in bulk; the quiet tenant never is.
-    assert summary["abusive_shed"] > 1000
-    assert summary["quiet_shed"] == 0
-    # The mid-run kill degrades tenants but probes stay answered:
-    # fail-open turns a region loss into latency, not unavailability.
-    assert summary["faults_injected"] >= 1
-    assert summary["degradations"] >= 1
-    assert summary["repromotions"] == summary["degradations"]
-    assert summary["quiet_still_degraded"] == 0.0
-    assert summary["failed_probes"] == 0
-    assert summary["unavailable_s"] == 0

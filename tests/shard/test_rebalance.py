@@ -126,9 +126,7 @@ class TestFaultWiring:
             for vm in list(members["s2"].allocation.vms):
                 if vm.alive:
                     harness.allocator.fail(vm)
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
+            yield from router.settle()
             return True
 
         assert run(harness, driver())
@@ -150,9 +148,7 @@ class TestFaultWiring:
         def driver():
             victim = members["s3"].allocation.vms[0]
             harness.allocator.reclaim(victim, notice_s=1.0)
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
+            yield from router.settle()
             return True
 
         assert run(harness, driver())

@@ -119,6 +119,36 @@ def test_chaos_runs_scenario_and_dumps_fault_log(tmp_path, capsys):
     assert again["events"] == blob["events"]
 
 
+def test_chaos_exits_1_when_a_declared_check_fails(monkeypatch, capsys):
+    import json
+
+    from repro.faults import SCENARIOS
+
+    real = SCENARIOS["conn-storm-rebalance"]
+
+    def lossy(seed):
+        report = real(seed)
+        report.summary["lost_acked_writes"] = 1.0
+        return report
+
+    monkeypatch.setitem(SCENARIOS, "conn-storm-rebalance", lossy)
+    assert main(["chaos", "conn-storm-rebalance"]) == 1
+    out = capsys.readouterr().out
+    assert "lost_acked_writes        1" in out
+    failure = "FAIL: chaos.summary[lost_acked_writes] = 1.0, want == 0"
+    assert out.rstrip().endswith(failure)
+    # --json keeps stdout one parseable blob; the failure goes to stderr.
+    assert main(["chaos", "conn-storm-rebalance", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["summary"]["lost_acked_writes"] == 1.0
+    assert captured.err == failure + "\n"
+
+
+def test_smoke_unknown_gate_is_an_error(capsys):
+    assert main(["smoke", "shard", "nope"]) == 2
+    assert "unknown gate(s) nope" in capsys.readouterr().out
+
+
 def test_kernelbench_prints_steps_per_second(capsys):
     assert main(["kernelbench", "--rounds", "1", "--batches", "20"]) == 0
     out = capsys.readouterr().out
@@ -137,7 +167,7 @@ def test_kernelbench_floor_gates(capsys):
 
 
 def test_shard_smoke_passes_and_reports(capsys):
-    assert main(["shard", "--smoke", "--ops", "1500"]) == 0
+    assert main(["smoke", "shard"]) == 0
     out = capsys.readouterr().out
     assert "shard smoke OK" in out
     assert "0 lost acks" in out
@@ -227,7 +257,7 @@ def test_sanitize_cli_demo_nondet_diverges(capsys):
 
 
 def test_verbs_smoke_passes_and_reports(capsys):
-    assert main(["verbs", "--smoke", "--ops", "24"]) == 0
+    assert main(["smoke", "verbs"]) == 0
     out = capsys.readouterr().out
     assert "verbs smoke OK" in out
     assert "digests equal" in out
@@ -247,7 +277,7 @@ def test_verbs_json_blob_carries_both_transports(capsys):
 
 
 def test_tenants_smoke_passes_and_reports(capsys):
-    assert main(["tenants", "--smoke", "--ops", "1200"]) == 0
+    assert main(["smoke", "tenants"]) == 0
     out = capsys.readouterr().out
     assert "tenants smoke OK" in out
     assert "0 lost acks" in out
