@@ -171,7 +171,8 @@ _TENANTS = Gate(
                                   ("chaos", True, True))},
     (("noisy-neighbor moved premium read p99 "
       "{baseline[premium_read_p99_s]:.3g}s -> "
-      "{noisy[premium_read_p99_s]:.3g}s, past the 1.5x budget",
+      "{noisy[premium_read_p99_s]:.3g}s, past the "
+      f"{TENANT_P99_BUDGET}x budget",
       lambda r: r["noisy"]["premium_read_p99_s"] <= _tenant_budget(r)),
      expect("noisy[tenants][scav][shed]", ">", 0),
      expect("noisy[tenants][prem][shed]", "==", 0),
