@@ -3,8 +3,10 @@
 from repro.faults import run_scenario
 
 
-def test_storm_mid_rebalance_loses_no_acked_writes():
-    report = run_scenario("conn-storm-rebalance", seed=0)
+def test_storm_mid_rebalance_loses_no_acked_writes(gate_verdict):
+    # The conn-storm-rebalance gate's run (seed 0), restated here so
+    # that loosening a declared check does not loosen what tier-1 pins.
+    report = gate_verdict("conn-storm-rebalance").results["chaos"]
     summary = report.summary
     # The headline invariant: every write the replicated router acked
     # read back intact through the kill + rebalance + session storm.
@@ -27,6 +29,7 @@ def test_storm_mid_rebalance_loses_no_acked_writes():
 
 
 def test_same_seed_chaos_replay_is_bit_identical():
+    # A second seed: the gate runner replays seed 0.
     first = run_scenario("conn-storm-rebalance", seed=1)
     second = run_scenario("conn-storm-rebalance", seed=1)
     assert first.log.digest() == second.log.digest()

@@ -11,19 +11,12 @@ declared checks; a gate must also catch a corrupted result.
 
 import copy
 import dataclasses
-import functools
 
 import pytest
 
 from repro.faults import SCENARIOS, ChaosReport, run_scenario
-from repro.faults.gates import GATES, run_gate
+from repro.faults.gates import GATES
 from repro.faults.scenarios import churn_run
-
-
-@functools.lru_cache(maxsize=None)
-def _verdict(name):
-    # Shared by both gate tests, so each gate runs (and replays) once.
-    return run_gate(name)
 
 
 def test_every_chaos_scenario_is_a_gate():
@@ -31,9 +24,9 @@ def test_every_chaos_scenario_is_a_gate():
 
 
 @pytest.mark.parametrize("name", list(GATES))
-def test_same_seed_is_bit_identical(name):
+def test_same_seed_is_bit_identical(name, gate_verdict):
     """The gate's replay is bit-identical and every declared check holds."""
-    assert _verdict(name).failures == []
+    assert gate_verdict(name).failures == []
 
 
 #: Gates that read acked writes back: corrupt them with one lost write.
@@ -54,8 +47,8 @@ def _diverged(result):
 
 
 @pytest.mark.parametrize("name", list(GATES))
-def test_gate_fails_a_corrupted_result(name):
-    verdict = _verdict(name)
+def test_gate_fails_a_corrupted_result(name, gate_verdict):
+    verdict = gate_verdict(name)
     gate = verdict.gate
     assert gate.failures(verdict.results, _diverged(verdict.replay)) == [
         "same-seed replay diverged"]
@@ -82,3 +75,20 @@ def test_churn_runs_inject_faults_and_log_them():
     # Every injected fault is in the log with a simulated timestamp.
     assert all(event.time >= 0.5 for event in report.log
                if event.kind in ("vm-eviction", "vm-kill"))
+
+
+def test_noisy_neighbor_isolates_and_recovers(gate_verdict):
+    # The gate's own run (seed 0), restated here so that loosening a
+    # declared check does not loosen what tier-1 pins.
+    summary = gate_verdict("noisy-neighbor").results["chaos"].summary
+    # The abusive tenant is shed in bulk; the quiet tenant never is.
+    assert summary["abusive_shed"] > 1000
+    assert summary["quiet_shed"] == 0
+    # The mid-run kill degrades tenants but probes stay answered:
+    # fail-open turns a region loss into latency, not unavailability.
+    assert summary["faults_injected"] >= 1
+    assert summary["degradations"] >= 1
+    assert summary["repromotions"] == summary["degradations"]
+    assert summary["quiet_still_degraded"] == 0.0
+    assert summary["failed_probes"] == 0
+    assert summary["unavailable_s"] == 0
