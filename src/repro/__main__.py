@@ -273,12 +273,13 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
     """Run one named fault-injection scenario (``repro.faults``).
 
     Prints the fault log and the availability summary; ``--json`` emits
-    the whole report (events, summary, metrics snapshot, digest) as one
+    the whole report (events, summary, metrics snapshot, digests) as one
     machine-readable blob, and ``--out`` writes that blob to a file.
-    Same seed, same scenario => bit-identical fault log (check the
-    digest).  Exits 1 if the report fails one of the scenario's
-    declared checks (``repro.faults.gates``).  Without a scenario name,
-    lists what is available.
+    Same seed, same scenario => bit-identical run (check
+    ``run_digest``; ``digest`` covers the fault log alone).  Exits 1 if
+    the report fails one of the scenario's declared checks
+    (``repro.faults.gates``).  Without a scenario name, lists what is
+    available.
     """
     from repro.faults import SCENARIOS, run_scenario
     from repro.faults.gates import GATES
@@ -301,6 +302,7 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
         "seed": report.seed,
         "sim_seconds": report.sim_now,
         "digest": report.log.digest(),
+        "run_digest": report.run_digest(),
         "events": [event.to_dict() for event in report.log],
         "summary": report.summary,
         "metrics": report.metrics,
@@ -318,6 +320,7 @@ def cmd_chaos(scenario: str | None, seed: int, as_json: bool,
     for key in sorted(report.summary):
         print(f"  {key:<24} {report.summary[key]:g}")
     print(f"fault-log digest: {report.log.digest()}")
+    print(f"run digest: {report.run_digest()}")
     if out:
         print(f"report written to {out}")
     return _print_verdict(failures, None)

@@ -308,7 +308,7 @@ class RedyCache:
         done = self.env.event()
         if callback is not None:
             done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._cas_io(addr, compare, swap, done),
+        self.env.process(self._word_io(addr, 8, done, swap, compare),
                          name=f"redy-io-c@{addr}")
         return done
 
@@ -404,80 +404,56 @@ class RedyCache:
             tenant: Optional[str] = None) -> None:
         """Start one I/O attempt; ``done`` fires with its result."""
         if dependent:
-            self.env.process(self._dependent_io(addr, size, done),
+            self.env.process(self._word_io(addr, size, done),
                              name=f"redy-io-d@{addr}")
         else:
             _Transfer(self, is_read, addr, size, data, done, tenant)
 
-    def _dependent_io(self, pointer_addr: int, size: int, done: Event):
-        """One pointer-chasing GET: translate the 8-byte pointer word,
-        then hand the chase to the data path as a single dependent op.
+    def _word_io(self, addr: int, size: int, done: Event,
+                 swap: Optional[bytes] = None,
+                 compare: Optional[bytes] = None):
+        """One op on the 8-byte word at ``addr``: a CAS when ``swap`` is
+        given, else a dependent GET of ``size`` bytes at the address the
+        word holds.  Translate the word, wait out its region's migration
+        gate, then hand the data path a single off-ring op.
 
-        The engine picks the transport (one-RTT verb program when the
-        configuration and endpoint allow it, two sequential READs
-        otherwise) and the record offset resolves remotely -- the client
-        never sees the intermediate pointer value.
+        The engine picks a dependent GET's transport (one-RTT verb
+        program when the configuration and endpoint allow it, two
+        sequential READs otherwise) and the record offset resolves
+        remotely -- the client never sees the intermediate pointer
+        value.  A CAS result carries the observed original word even on
+        a mismatch, which callers treat as data, not failure.
         """
         start = self.env.now
+        cas = swap is not None
+        table = self.table
         try:
-            fragments = self.table.translate(pointer_addr, 8)
+            fragments = table.translate(addr, 8)
         except AddressError as exc:
             done.succeed(CacheIoResult(ok=False, error=str(exc)))
             return
         if len(fragments) != 1:
             done.succeed(CacheIoResult(
-                ok=False,
-                error="dependent read: pointer word spans regions"))
+                ok=False, error="cas: word spans regions" if cas
+                else "dependent read: pointer word spans regions"))
             return
         fragment = fragments[0]
-        gate = self.table.read_gate(fragment.region_index)
+        gate = (table.write_gate(fragment.region_index) if cas
+                else table.read_gate(fragment.region_index))
         if gate is not None:
             yield gate  # §6.2: paused until the region migrates
         # Re-resolve the mapping: it may have flipped while we waited.
-        mapping = self.table.region(fragment.region_index)
+        mapping = table.region(fragment.region_index)
+        settled = self.env.event()
         op = EngineOp(
-            is_read=True, size=size, token=mapping.token, offset=0,
-            lookup_offset=fragment.offset, verify=True,
-            completion=self.env.event())
+            is_read=not cas, size=size, token=mapping.token,
+            offset=fragment.offset if cas else 0, data=swap,
+            on_done=settled.succeed,
+            lookup_offset=None if cas else fragment.offset, verify=not cas,
+            cas=cas, compare=compare)
         yield self.env.timeout(self.path.submission_overhead())
         self.path.submit(op)
-        result = yield op.completion
-        if not result.ok:
-            done.succeed(CacheIoResult(
-                ok=False, error=result.error,
-                latency=self.env.now - start))
-            return
-        done.succeed(CacheIoResult(ok=True, data=result.data,
-                                   latency=self.env.now - start))
-
-    def _cas_io(self, addr: int, compare: Optional[bytes], swap: bytes,
-                done: Event):
-        """One standalone compare-and-swap: translate the 8-byte word,
-        post a single CAS op, and pass the observed original through --
-        even on a mismatch, which callers treat as data, not failure."""
-        start = self.env.now
-        try:
-            fragments = self.table.translate(addr, 8)
-        except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
-        if len(fragments) != 1:
-            done.succeed(CacheIoResult(
-                ok=False, error="cas: word spans regions"))
-            return
-        fragment = fragments[0]
-        gate = self.table.write_gate(fragment.region_index)
-        if gate is not None:
-            yield gate  # §6.2: paused until the region migrates
-        # Re-resolve the mapping: it may have flipped while we waited.
-        mapping = self.table.region(fragment.region_index)
-        op = EngineOp(
-            is_read=False, size=8, token=mapping.token,
-            offset=fragment.offset, data=swap, cas=True, compare=compare,
-            completion=self.env.event())
-        yield self.env.timeout(self.path.submission_overhead())
-        self.path.submit(op)
-        result = yield op.completion
+        result = yield settled
         done.succeed(CacheIoResult(
             ok=result.ok, data=result.data, error=result.error,
             latency=self.env.now - start))

@@ -266,42 +266,28 @@ class CacheDataPath:
 
     def submit(self, op: EngineOp, thread_index: Optional[int] = None) -> None:
         """Queue one op on a client thread.  The batch ring is unbounded,
-        so the op is accepted at once; its ``completion`` event fires
-        with its :class:`OpResult` when the I/O finishes.
+        so the op is accepted at once; its ``on_done`` is called with its
+        :class:`OpResult` when the I/O finishes.
         """
-        if op.completion is None and op.on_done is None:
-            op.completion = self.env.event()
         op.enqueued_at = self.env.now
         if thread_index is None:
             thread_index = self._round_robin % len(self.threads)
             self._round_robin += 1
         thread = self.threads[thread_index % len(self.threads)]
         connection = self._route(thread, op)
-        if op.is_dependent:
-            # Dependent GETs never enter the message-ring batching
-            # protocol: they are posted on their own doorbell (as a verb
-            # program, or as the classic two-hop READ sequence), so they
-            # cannot be folded into a two-sided batch that would lose
-            # the pointer-chase semantics.
+        if op.cas or op.is_dependent:
+            # Off-ring ops never enter the message-ring batching
+            # protocol: a dependent GET folded into a two-sided batch
+            # would lose its pointer-chase semantics, and a CAS is
+            # atomic because the NIC executes it as one verb.
             if op.token is None:
-                raise EngineError("dependent reads need a region token")
-            if op.weight != 1:
-                raise EngineError("dependent reads are weight-1 ops")
+                raise EngineError("dependent reads and CAS ops need a "
+                                  "region token")
+            kind = "cas" if op.cas else "dependent-read"
             self.env.process(
-                self._dependent_read(thread, connection, op),
+                self._off_ring(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:dependent-read")
-            return
-        if op.cas:
-            # Standalone CAS: like dependent reads, atomics never enter
-            # the message-ring batching protocol -- the NIC executes the
-            # compare-and-swap as a single verb on its own doorbell.
-            if op.token is None:
-                raise EngineError("CAS ops need a region token")
-            self.env.process(
-                self._cas_op(thread, connection, op),
-                name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:cas")
+                     f"t{thread.index}:{kind}")
             return
         connection.batch_ring.try_put(op)
 
@@ -362,10 +348,21 @@ class CacheDataPath:
             WorkRequest(verb, op.token, op.offset, op.size, op.data),
             _OneSidedReap(self, thread, connection, op).reap)
 
-    def _dependent_read(self, thread: _ClientThread, connection: _Connection,
-                        op: EngineOp):
-        """One pointer-chasing GET: index word first, then the record.
+    def _off_ring(self, thread: _ClientThread, connection: _Connection,
+                  op: EngineOp):
+        """One op on its own doorbell: a standalone CAS or a dependent GET.
 
+        Both take a credit, charge the doorbell on the thread's CPU,
+        post their verb, then poll the completion, pay the cross-NUMA
+        jitter of a non-affinitized thread and return the credit.
+
+        A CAS executes remotely and atomically; a mismatch is not a
+        transport failure -- it completes with ``ok=False``,
+        ``error="cas mismatch"`` and the observed original word in
+        ``data``, which is exactly what optimistic callers need to
+        re-read and retry.
+
+        A dependent GET reads the index word first, then the record.
         With ``use_verb_programs`` on (and a supporting remote NIC) the
         whole chain is one posted program -- one round trip.  Otherwise,
         or when a program completes in error (CAS guard abort, region
@@ -387,14 +384,22 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
 
-        supports = connection.server.endpoint.supports_programs
-        use_programs = self.config.use_verb_programs and supports
         completion: Optional[Completion] = None
-        if self.config.use_verb_programs and not supports:
+        if op.cas:
+            if self._cas_ops_counter is not None:
+                self._cas_ops_counter.inc()
+            completion = yield connection.qp.post(WorkRequest(
+                RdmaOp.CAS, op.token, op.offset, op.size, data=op.data,
+                compare=op.compare))
+            if (completion.cas_aborted
+                    and self._cas_mismatch_counter is not None):
+                self._cas_mismatch_counter.inc()
+        elif (self.config.use_verb_programs
+              and not connection.server.endpoint.supports_programs):
             # Graceful degradation: remote NIC cannot run chains.
             if self._fallback_counter is not None:
                 self._fallback_counter.inc()
-        if use_programs:
+        elif self.config.use_verb_programs:
             program = VerbProgram.dependent_read(
                 pointer_offset=op.lookup_offset,
                 pointer_bytes=op.lookup_size,
@@ -427,49 +432,6 @@ class CacheDataPath:
             thread.cpu.release()
         if not self.config.numa_affinity:
             yield env.timeout(self._numa_jitter())
-        connection.credits.try_put(object())
-        self._finish(op, OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=env.now - op.enqueued_at))
-
-    def _cas_op(self, thread: _ClientThread, connection: _Connection,
-                op: EngineOp):
-        """One standalone compare-and-swap (server-side eviction marking).
-
-        The QP executes the verb remotely and atomically; a mismatch is
-        not a transport failure -- it completes with ``ok=False``,
-        ``error="cas mismatch"`` and the observed original word in
-        ``data``, which is exactly what optimistic callers need to
-        re-read and retry.
-        """
-        env = self.env
-        cpu, nic = self.profile.cpu, self.profile.nic
-        credit_wait_started = env.now
-        yield connection.credits.get()
-        if self._credit_wait is not None:
-            self._credit_wait.observe(env.now - credit_wait_started)
-
-        yield thread.cpu.acquire()
-        try:
-            work = cpu.batch_prepare + nic.doorbell + cpu.client_per_op
-            yield env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-
-        if self._cas_ops_counter is not None:
-            self._cas_ops_counter.inc()
-        completion = yield connection.qp.post(WorkRequest(
-            RdmaOp.CAS, op.token, op.offset, op.size, data=op.data,
-            compare=op.compare))
-        if completion.cas_aborted and self._cas_mismatch_counter is not None:
-            self._cas_mismatch_counter.inc()
-
-        yield thread.cpu.acquire()
-        try:
-            work = nic.completion_poll + cpu.callback
-            yield env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
         connection.credits.try_put(object())
         self._finish(op, OpResult(
             ok=completion.ok, data=completion.data, error=completion.error,
@@ -559,8 +521,6 @@ class CacheDataPath:
         if op.on_done is not None:
             on_done, op.on_done = op.on_done, None
             on_done(result)
-        elif op.completion is not None and not op.completion.triggered:
-            op.completion.succeed(result)
 
     @property
     def completed_weight(self) -> int:

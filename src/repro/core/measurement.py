@@ -173,21 +173,22 @@ def measure_config(config: RdmaConfig, record_size: int, *,
             # ring; a full batch costs `weight` handoffs.
             handoff = weight * overhead()
             yield timeout(handoff)
+            settled = new_event()
             if dependent_reads:
                 op = EngineOp(
                     is_read=True, size=record_size, token=token,
                     offset=int(offsets[offset_cursor % n_offsets]),
                     lookup_offset=int(
                         lookup_offsets[offset_cursor % n_offsets]),
-                    weight=1, completion=new_event())
+                    weight=1, on_done=settled.succeed)
             else:
                 op = EngineOp(
                     is_read=is_read, size=record_size, token=token,
                     offset=int(offsets[offset_cursor % n_offsets]),
-                    weight=weight, completion=new_event())
+                    weight=weight, on_done=settled.succeed)
             offset_cursor += 1
             submit(op, thread_index=thread_index)
-            result = yield op.completion
+            result = yield settled
             if not result.ok:
                 raise RuntimeError(f"measurement op failed: {result.error}")
             state["completed"] += 1

@@ -14,7 +14,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.latency import OP_HEADER_BYTES, RESP_HEADER_BYTES
 from repro.net.memory import AccessToken
-from repro.sim.kernel import Event
 
 __all__ = [
     "ConnectReply",
@@ -45,17 +44,13 @@ class EngineOp:
     offset: int = 0
     data: Optional[bytes] = None
     weight: int = 1
-    #: Called with the op's :class:`OpResult` in place of ``completion``
-    #: (callback chains skip the event's kernel hop).
+    #: Called once with the op's :class:`OpResult` when it finishes (a
+    #: waiter passes an Event's ``succeed``).
     on_done: Optional[Callable[["OpResult"], None]] = None
     #: Serving-tier identity: which registered tenant issued this op.
     #: ``None`` (the default) is the classic anonymous single-user path;
     #: the engine only adds per-tenant accounting when it is set.
     tenant: Optional[str] = None
-    #: Fires with the op's :class:`OpResult`; created by
-    #: :meth:`CacheDataPath.submit` when neither it nor ``on_done`` is
-    #: given.
-    completion: Optional[Event] = None
     enqueued_at: float = 0.0
     #: Dependent read: offset of the pointer word to chase first.  The
     #: record is then read at the little-endian u64 the word holds (with
@@ -96,10 +91,10 @@ class EngineOp:
                 raise ValueError("CAS swap value must be exactly 8 bytes")
             if self.compare is not None and len(self.compare) != 8:
                 raise ValueError("CAS compare word must be exactly 8 bytes")
-            if self.weight != 1:
-                raise ValueError("CAS ops are weight-1 ops")
         elif self.compare is not None:
             raise ValueError("compare is only meaningful on CAS ops")
+        if self.weight != 1 and (self.cas or self.lookup_offset is not None):
+            raise ValueError("dependent reads and CAS ops are weight-1 ops")
 
     @property
     def is_dependent(self) -> bool:
@@ -121,7 +116,7 @@ class EngineOp:
 
 @dataclass(slots=True)
 class OpResult:
-    """Outcome of one :class:`EngineOp`, delivered via its completion event."""
+    """Outcome of one :class:`EngineOp`, delivered to its ``on_done``."""
 
     ok: bool
     data: Optional[bytes] = None

@@ -88,11 +88,10 @@ def run_gate(name: str) -> Verdict:
 
 
 def _fingerprint(result: Any) -> Any:
-    """What a replay must reproduce: a chaos report's fault log (as
-    JSONL), metrics, summary and clock; any other result whole."""
+    """What a replay must reproduce: a chaos report's
+    :meth:`~ChaosReport.fingerprint`; any other result whole."""
     if isinstance(result, ChaosReport):
-        return (result.log.to_jsonl(), result.metrics, result.summary,
-                result.sim_now)
+        return result.fingerprint()
     return result
 
 
@@ -247,7 +246,8 @@ def _chaos_ok(r: Results) -> str:
     return (f"chaos {report.scenario} OK: "
             f"{report.summary['faults_injected']:g} faults, "
             f"{report.summary['probes']:g} probes, fault-log digest "
-            f"{report.log.digest()[:16]}, replay bit-identical")
+            f"{report.log.digest()[:16]}, run digest "
+            f"{report.run_digest()[:16]}, replay bit-identical")
 
 
 def _chaos(name: str, *checks: Tuple[str, str, Any],

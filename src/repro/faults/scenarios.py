@@ -29,7 +29,9 @@ The scenarios cover the §6 robustness matrix:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -69,6 +71,18 @@ class ChaosReport:
     metrics: Dict[str, dict]
     summary: Dict[str, float]
     sim_now: float
+
+    def fingerprint(self) -> tuple:
+        """What a same-seed replay must reproduce: the fault log (as
+        JSONL), metrics, summary and clock."""
+        return (self.log.to_jsonl(), self.metrics, self.summary,
+                self.sim_now)
+
+    def run_digest(self) -> str:
+        """SHA-256 over :meth:`fingerprint`.  Unlike the fault-log
+        digest it tells apart runs that injected the same faults."""
+        return hashlib.sha256(json.dumps(
+            self.fingerprint(), sort_keys=True).encode()).hexdigest()
 
 
 class _Run:

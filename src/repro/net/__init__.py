@@ -13,8 +13,9 @@ interacts with:
 * :mod:`repro.net.verbs` -- one-sided READ / WRITE work requests
   (two-sided send/receive is layered on one-sided writes by the cache
   engine, exactly as the paper does in Section 4.1).
-* :mod:`repro.net.rings` -- the batch ring and message ring structures of
-  Figure 6.
+* :mod:`repro.net.rings` -- a bounded FIFO ring buffer.  Nothing uses
+  it: the cache engine models Figure 6's batch ring and message ring as
+  simulation ``Store`` queues (:mod:`repro.core.engine`).
 """
 
 from repro.net.fabric import Endpoint, Fabric, Placement

@@ -602,8 +602,6 @@ class _Verb:
         except RdmaAccessError as exc:
             self._fail(str(exc))
             return
-        if qp._program_cas_aborts is not None and not matched:
-            qp._program_cas_aborts.inc()
         self.completion = Completion(
             wr_id=wr.wr_id, op=RdmaOp.CAS, ok=matched, data=current,
             error=None if matched else "cas mismatch", context=wr.context,

@@ -1,17 +1,8 @@
-"""Ring buffers of the Redy data path (Figure 6).
+"""A bounded FIFO ring buffer with occupancy counters.
 
-Two rings connect the pipeline stages:
-
-* the **batch ring** between an application thread and its client thread,
-  where I/O requests accumulate into request batches; and
-* the **message ring**, registered with the NIC, that carries request
-  batches to the server and response batches back.
-
-In the simulation all code runs single-threaded, so "lock-free" is not a
-structural property here -- it is a *cost* property charged by the engine
-(cheap handoff vs. mutex handoff with a contention tail).  The ring
-itself models what matters for performance: bounded capacity and FIFO
-order, which create the backpressure that shapes latency under load.
+Nothing in the simulator uses it: the cache engine models Figure 6's
+batch ring and message ring as simulation ``Store`` queues
+(:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations

@@ -356,8 +356,9 @@ class TenantTier:
         if verdict != ADMIT:
             # Token reserved: sleep until it matures, FIFO per tenant.
             # The reservation holds a bounded-queue slot, so it must
-            # drain even when fault injection interrupts the sleep --
-            # otherwise the tenant's admission capacity shrinks forever.
+            # drain even if the sleep is interrupted (only the leak
+            # tests do so today) -- otherwise the tenant's admission
+            # capacity shrinks forever.
             try:
                 yield self.env.timeout(wait)
             finally:

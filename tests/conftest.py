@@ -1,4 +1,4 @@
-"""Shared fixtures for the fault-plane tests."""
+"""Fixtures shared across the suite."""
 
 import functools
 
@@ -15,6 +15,7 @@ def _verdict(name):
 @pytest.fixture(scope="session")
 def gate_verdict():
     """``gate_verdict(name)``: gate ``name`` run through the runner once
-    per session, so the gate tests and the per-scenario invariant tests
-    share one run (and one replay) of each gate."""
+    per session, so the gate tests, the per-scenario invariant tests and
+    the ``smoke`` CLI tests share one run (and one replay) of each
+    gate."""
     return _verdict

@@ -92,3 +92,6 @@ class TestClientCas:
         snapshot = registry.snapshot()
         assert snapshot["engine.cas_ops"]["value"] == 2.0
         assert snapshot["engine.cas_mismatches"]["value"] == 1.0
+        # No verb program ran: a standalone mismatch is not a program's
+        # CAS-guard abort.
+        assert snapshot["qp.program_cas_aborts"]["value"] == 0.0

@@ -38,10 +38,13 @@ def make_stack(config, *, seed=0, metrics=None):
 
 
 def run_op(env, path, op):
+    done = env.event()
+    op.on_done = done.succeed
+
     def proc(env):
         yield env.timeout(path.submission_overhead())
         path.submit(op)
-        result = yield op.completion
+        result = yield done
         return result, env.now
 
     return env.run_process(proc(env))
@@ -50,20 +53,17 @@ def run_op(env, path, op):
 def seed_chain(env, path, token, *, pointer_offset=64, record_offset=4096,
                payload=b"r" * 32):
     write = EngineOp(is_read=False, size=len(payload), token=token,
-                     offset=record_offset, data=payload,
-                     completion=env.event())
+                     offset=record_offset, data=payload)
     assert run_op(env, path, write)[0].ok
     swing = EngineOp(is_read=False, size=8, token=token,
                      offset=pointer_offset,
-                     data=struct.pack("<Q", record_offset),
-                     completion=env.event())
+                     data=struct.pack("<Q", record_offset))
     assert run_op(env, path, swing)[0].ok
 
 
-def dependent_op(env, token, size=32, *, pointer_offset=64, verify=True):
+def dependent_op(token, size=32, *, pointer_offset=64, verify=True):
     return EngineOp(is_read=True, size=size, token=token, offset=0,
-                    lookup_offset=pointer_offset, verify=verify,
-                    completion=env.event())
+                    lookup_offset=pointer_offset, verify=verify)
 
 
 class TestEngineDependentReads:
@@ -71,7 +71,7 @@ class TestEngineDependentReads:
         env, server, path, token = make_stack(config, metrics=metrics)
         seed_chain(env, path, token)
         started = env.now
-        result, now = run_op(env, path, dependent_op(env, token))
+        result, now = run_op(env, path, dependent_op(token))
         return result, now - started
 
     def test_both_transports_return_the_record(self):
@@ -104,7 +104,7 @@ class TestEngineDependentReads:
         env, server, path, token = make_stack(config, metrics=metrics)
         server.endpoint.supports_programs = False
         seed_chain(env, path, token)
-        result, _ = run_op(env, path, dependent_op(env, token))
+        result, _ = run_op(env, path, dependent_op(token))
         assert result.ok
         assert result.data == b"r" * 32
         assert metrics.counter("engine.programs").value == 0
@@ -130,20 +130,57 @@ class TestEngineDependentReads:
             yield env.timeout(10 * US)
             region.local_write(64, struct.pack("<Q", 8192))
 
-        def proc(env):
-            env.process(mover(env))
-            op = dependent_op(env, token, size=256 * 1024)
-            yield env.timeout(path.submission_overhead())
-            path.submit(op)
-            return (yield op.completion)
-
-        result = env.run_process(proc(env))
+        env.process(mover(env))
+        result, _ = run_op(env, path, dependent_op(token, size=256 * 1024))
         assert result.ok
         assert result.data[:32] == new
         assert metrics.counter("engine.programs").value == 1
         assert metrics.counter("engine.program_cas_aborts").value == 1
         assert metrics.counter("engine.program_fallbacks").value == 1
         assert metrics.counter("engine.two_hop_reads").value == 1
+
+
+def cas_op(token, swap, compare=None, offset=512):
+    return EngineOp(is_read=False, size=8, token=token, offset=offset,
+                    data=struct.pack("<Q", swap), cas=True,
+                    compare=None if compare is None
+                    else struct.pack("<Q", compare))
+
+
+class TestOffRingPath:
+    """Dependent GETs and CAS ops share one engine generator."""
+
+    def test_interleaved_ops_return_every_credit(self):
+        env, _server, path, token = make_stack(RdmaConfig(1, 0, 1, 1))
+        seed_chain(env, path, token)
+        ops = [dependent_op(token), cas_op(token, 1),
+               dependent_op(token), cas_op(token, 2, compare=99),
+               dependent_op(token), cas_op(token, 3, compare=1)]
+        done = []
+        for op in ops:
+            done.append(env.event())
+            op.on_done = done[-1].succeed
+            path.submit(op)
+        env.run()
+        results = [event.value for event in done]
+        assert [r.ok for r in results] == [True, True, True, False, True,
+                                           True]
+        assert all(r.data == b"r" * 32 for r in results[::2])
+        connection = path.threads[0].routes[token.region_id]
+        assert len(connection.credits) == 1
+
+    def test_cas_pays_the_cross_numa_completion_jitter(self):
+        """A non-affinitized thread pays the jitter after every
+        completion poll, CAS included."""
+        latencies = []
+        for numa_affinity in (True, False):
+            env, _server, path, token = make_stack(
+                RdmaConfig(1, 0, 1, 4, numa_affinity=numa_affinity))
+            path._numa_jitter = lambda: 50 * US
+            result, _ = run_op(env, path, cas_op(token, 1))
+            assert result.ok
+            latencies.append(result.latency)
+        assert latencies[1] == pytest.approx(latencies[0] + 50 * US)
 
 
 class TestMeasurementToggle:

@@ -28,10 +28,13 @@ def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
 
 
 def run_op(env, path, op):
+    done = env.event()
+    op.on_done = done.succeed
+
     def proc(env):
         yield env.timeout(path.submission_overhead())
         path.submit(op)
-        result = yield op.completion
+        result = yield done
         return result
 
     return env.run_process(proc(env))
@@ -42,10 +45,9 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))
         token = tokens[0]
         write = EngineOp(is_read=False, size=11, token=token, offset=64,
-                         data=b"hello redy!", completion=env.event())
+                         data=b"hello redy!")
         assert run_op(env, path, write).ok
-        read = EngineOp(is_read=True, size=11, token=token, offset=64,
-                        completion=env.event())
+        read = EngineOp(is_read=True, size=11, token=token, offset=64)
         result = run_op(env, path, read)
         assert result.ok
         assert result.data == b"hello redy!"
@@ -55,10 +57,9 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(config)
         token = tokens[0]
         write = EngineOp(is_read=False, size=5, token=token, offset=100,
-                         data=b"batch", completion=env.event())
+                         data=b"batch")
         assert run_op(env, path, write).ok
-        read = EngineOp(is_read=True, size=5, token=token, offset=100,
-                        completion=env.event())
+        read = EngineOp(is_read=True, size=5, token=token, offset=100)
         result = run_op(env, path, read)
         assert result.ok
         assert result.data == b"batch"
@@ -69,14 +70,14 @@ class TestFunctionalDataPath:
         token = tokens[0]
 
         def proc(env):
-            ops = []
+            done = []
             for i in range(8):
+                done.append(env.event())
                 op = EngineOp(is_read=False, size=4, token=token,
                               offset=i * 4, data=b"abcd",
-                              completion=env.event())
+                              on_done=done[-1].succeed)
                 path.submit(op, thread_index=0)
-                ops.append(op)
-            yield env.all_of([op.completion for op in ops])
+            yield env.all_of(done)
 
         env.run_process(proc(env))
         # Eight ops submitted back-to-back on one thread with b=8 should
@@ -88,8 +89,7 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(RdmaConfig(1, 1, 4, 4,
                                                      one_sided_fast_path=False),
                                           region_size=128)
-        op = EngineOp(is_read=True, size=64, token=tokens[0], offset=100,
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=64, token=tokens[0], offset=100)
         result = run_op(env, path, op)
         assert not result.ok
         assert "out of bounds" in result.error or "outside" in result.error
@@ -100,19 +100,17 @@ class TestFunctionalDataPath:
         for i, token in enumerate(tokens):
             payload = bytes([i]) * 8
             write = EngineOp(is_read=False, size=8, token=token, offset=0,
-                             data=payload, completion=env.event())
+                             data=payload)
             assert run_op(env, path, write).ok
         for i, token in enumerate(tokens):
-            read = EngineOp(is_read=True, size=8, token=token, offset=0,
-                            completion=env.event())
+            read = EngineOp(is_read=True, size=8, token=token, offset=0)
             assert run_op(env, path, read).data == bytes([i]) * 8
 
     def test_unknown_region_rejected(self):
         env, _, path, _ = make_stack(RdmaConfig(1, 0, 1, 4))
         from repro.net.memory import AccessToken
         bogus = AccessToken(region_id=999999, key=1, size=64)
-        op = EngineOp(is_read=True, size=8, token=bogus,
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=bogus)
         with pytest.raises(EngineError):
             path.submit(op)
 
@@ -121,8 +119,7 @@ class TestFailureVisibility:
     def test_server_failure_fails_one_sided_ops(self):
         env, server, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))
         server.fail()
-        op = EngineOp(is_read=True, size=8, token=tokens[0],
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=tokens[0])
         result = run_op(env, path, op)
         assert not result.ok
 
@@ -130,8 +127,7 @@ class TestFailureVisibility:
         config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
         env, server, path, tokens = make_stack(config)
         server.fail()
-        op = EngineOp(is_read=True, size=8, token=tokens[0],
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=tokens[0])
         result = run_op(env, path, op)
         assert not result.ok
         assert path.ops_failed == 1
@@ -140,8 +136,7 @@ class TestFailureVisibility:
 class TestStatistics:
     def test_completed_weight_counts_logical_ops(self):
         env, _, path, tokens = make_stack(RdmaConfig(1, 1, 8, 4))
-        op = EngineOp(is_read=False, size=8, token=tokens[0], weight=8,
-                      completion=env.event())
+        op = EngineOp(is_read=False, size=8, token=tokens[0], weight=8)
         run_op(env, path, op)
         assert path.ops_completed == 1
         assert path.completed_weight == 8
@@ -157,14 +152,15 @@ class TestResponseTimeout:
         path.op_timeout = 0.001  # keep the test fast
 
         def scenario(env):
+            done = env.event()
             op = EngineOp(is_read=True, size=8, token=tokens[0],
-                          completion=env.event())
+                          on_done=done.succeed)
             path.submit(op, thread_index=0)
             # Let the request land (delivery ~2.4us), then kill the VM
             # mid-processing, before any response can be posted (~3.3us).
             yield env.timeout(2.6e-6)
             server.fail()
-            result = yield op.completion
+            result = yield done
             return result, env.now
 
         result, when = env.run_process(scenario(env))
@@ -180,11 +176,12 @@ class TestResponseTimeout:
         def scenario(env):
             results = []
             for i in range(10):
+                done = env.event()
                 op = EngineOp(is_read=False, size=8, token=tokens[0],
                               offset=i * 8, data=bytes([i]) * 8,
-                              completion=env.event())
+                              on_done=done.succeed)
                 path.submit(op, thread_index=0)
-                results.append((yield op.completion))
+                results.append((yield done))
             # Run past every watchdog deadline: nothing double-fires.
             yield env.timeout(0.01)
             return results

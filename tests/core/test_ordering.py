@@ -42,18 +42,19 @@ def test_same_thread_writes_execute_in_program_order(config):
     env, path, token = make_stack(config)
 
     def scenario(env):
-        ops = []
+        done = []
         for value in range(16):
+            done.append(env.event())
             op = EngineOp(is_read=False, size=8, token=token, offset=0,
                           data=value.to_bytes(8, "little"),
-                          completion=env.event())
+                          on_done=done[-1].succeed)
             path.submit(op, thread_index=0)
-            ops.append(op)
-        yield env.all_of([op.completion for op in ops])
+        yield env.all_of(done)
+        read_done = env.event()
         read = EngineOp(is_read=True, size=8, token=token, offset=0,
-                        completion=env.event())
+                        on_done=read_done.succeed)
         path.submit(read, thread_index=0)
-        result = yield read.completion
+        result = yield read_done
         return result.data
 
     data = env.run_process(scenario(env))
@@ -69,17 +70,17 @@ def test_completions_arrive_in_submission_order(config):
     completed = []
 
     def scenario(env):
-        ops = []
+        done = []
         for index in range(24):
+            done.append(env.event())
             op = EngineOp(is_read=False, size=8, token=token,
                           offset=(index % 8) * 8,
                           data=index.to_bytes(8, "little"),
-                          completion=env.event())
-            op.completion._add_callback(
+                          on_done=done[-1].succeed)
+            done[-1]._add_callback(
                 lambda ev, index=index: completed.append(index))
             path.submit(op, thread_index=0)
-            ops.append(op)
-        yield env.all_of([op.completion for op in ops])
+        yield env.all_of(done)
 
     env.run_process(scenario(env))
     assert completed == sorted(completed)
@@ -95,13 +96,14 @@ def test_read_after_write_same_thread_sees_the_write():
         for round_index in range(20):
             payload = bytes(rng.integers(0, 256, size=8, dtype=np.uint8))
             write = EngineOp(is_read=False, size=8, token=token, offset=32,
-                             data=payload, completion=env.event())
+                             data=payload)
+            read_done = env.event()
             read = EngineOp(is_read=True, size=8, token=token, offset=32,
-                            completion=env.event())
+                            on_done=read_done.succeed)
             # Submit both back to back WITHOUT waiting for the write.
             path.submit(write, thread_index=0)
             path.submit(read, thread_index=0)
-            result = yield read.completion
+            result = yield read_done
             assert result.ok
             assert result.data == payload, round_index
 

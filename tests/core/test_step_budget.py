@@ -14,7 +14,13 @@ read/write, 34 per hedged router op and 37 per admitted tenant op.
 The events left are the completion events the layers hand each other
 (a cache op's ``done``; the router's join plus the member cache's; the
 tenant tier adds its own ``done`` and its request process).
+
+Off-ring ops (a dependent GET, a standalone CAS) are still one process
+in the client and one in the engine, so each of their waits is an
+Event; their budgets pin that one shared path.
 """
+
+import struct
 
 import pytest
 
@@ -26,11 +32,13 @@ from repro.workloads.scenarios import build_cluster
 REGION = 1 << 20
 SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=64)
 RECORD = b"r" * 64
+WORD = struct.Struct("<Q")
 
 #: ``(steps, events)`` per idle op.
 CACHE_BUDGET = {"read": (10, 1), "write": (10, 1)}
 ROUTER_BUDGET = {"read": (12, 2), "write": (11, 2)}
 TENANT_BUDGET = {"read": (15, 4), "write": (14, 4)}
+OFF_RING_BUDGET = {"two-hop": (24, 14), "program": (17, 11), "cas": (17, 11)}
 
 
 def idle_stack():
@@ -47,14 +55,25 @@ def idle_stack():
     return harness.env, members["s0"], router, tier
 
 
-def steps_for(env, call):
+def off_ring_cache(use_verb_programs=None):
+    """A cache holding a record at 4096 and a pointer word to it at 64."""
+    harness = build_cluster(seed=1, n_servers=8)
+    client = harness.redy_client("budget-app")
+    cache = client.create(2 * REGION, SLO, region_bytes=REGION,
+                          use_verb_programs=use_verb_programs)
+    cache.load(4096, RECORD)
+    cache.load(64, WORD.pack(4096))
+    return harness.env, cache
+
+
+def steps_for(env, call, ok=True):
     """Kernel ``(steps, events)`` from issuing ``call()`` until the
     cluster is idle again (hedge timers included)."""
     env.run()
     before = env.event_loop_stats()
     done = call()
     env.run()
-    assert done.processed and done.value.ok, done.value
+    assert done.processed and done.value.ok is ok, done.value
     after = env.event_loop_stats()
     return (after["steps"] - before["steps"],
             after["events"] - before["events"])
@@ -84,3 +103,19 @@ def test_admitted_tenant_op_budget(kind):
     counts = steps_for(env, call)
     assert tier.stats("t")["admitted"] == 1
     assert counts == TENANT_BUDGET[kind]
+
+
+@pytest.mark.parametrize("transport", ["two-hop", "program"])
+def test_dependent_get_budget(transport):
+    env, cache = off_ring_cache(use_verb_programs=transport == "program")
+    counts = steps_for(env, lambda: cache.dependent_read(64, 64))
+    assert counts == OFF_RING_BUDGET[transport]
+
+
+@pytest.mark.parametrize("compare, ok", [(4096, True), (1, False)],
+                         ids=["hit", "mismatch"])
+def test_cas_budget(compare, ok):
+    env, cache = off_ring_cache()
+    counts = steps_for(env, lambda: cache.cas(
+        64, WORD.pack(compare), WORD.pack(8192)), ok=ok)
+    assert counts == OFF_RING_BUDGET["cas"]

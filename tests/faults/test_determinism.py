@@ -60,6 +60,19 @@ def test_gate_fails_a_corrupted_result(name, gate_verdict):
         assert "lost" in failures[0] and "] = 1" in failures[0]
 
 
+def test_run_digest_identifies_a_run(gate_verdict):
+    """At seed 0 these three scenarios log the same lone s1 kill, so
+    their fault-log digests match; the run digest tells them apart and
+    a same-seed rerun reproduces it."""
+    names = ("noisy-neighbor", "shard-churn", "conn-storm-rebalance")
+    verdicts = [gate_verdict(name) for name in names]
+    reports = [verdict.results["chaos"] for verdict in verdicts]
+    assert len({report.log.digest() for report in reports}) == 1
+    assert len({report.run_digest() for report in reports}) == 3
+    for verdict, report in zip(verdicts, reports):
+        assert verdict.replay.run_digest() == report.run_digest()
+
+
 def test_different_seed_diverges_when_randomized():
     # The Poisson-driven scenario must actually depend on the seed.
     assert (run_scenario("spot-churn", seed=0).log.digest()

@@ -1,7 +1,9 @@
 """Interrupt-path leak regressions in the serving tier.
 
-Fault injection interrupts tenant request processes as a matter of
-course.  These tests pin the fixes for three leaks the lifecycle
+Nothing outside these tests interrupts a tenant request process, but
+the kernel's ``Process.interrupt`` can throw into any of its waits, and
+each wait must then give back what it holds.  These tests interrupt the
+processes by hand and pin the fixes for three leaks the lifecycle
 analyzer (L004/L005) found: an interrupted delay-sleep kept its
 admission reservation, an interrupted router I/O kept its WRR
 in-flight slot, and an interrupted degraded access kept the backing

@@ -116,6 +116,7 @@ def test_chaos_runs_scenario_and_dumps_fault_log(tmp_path, capsys):
     assert main(["chaos", "slow-node", "--seed", "5", "--json"]) == 0
     again = json.loads(capsys.readouterr().out)
     assert again["digest"] == blob["digest"]
+    assert again["run_digest"] == blob["run_digest"]
     assert again["events"] == blob["events"]
 
 
@@ -166,7 +167,8 @@ def test_kernelbench_floor_gates(capsys):
                  "--min-steps-per-sec", "1"]) == 0
 
 
-def test_shard_smoke_passes_and_reports(capsys):
+def test_shard_smoke_passes_and_reports(capsys, monkeypatch, gate_verdict):
+    monkeypatch.setattr("repro.faults.gates.run_gate", gate_verdict)
     assert main(["smoke", "shard"]) == 0
     out = capsys.readouterr().out
     assert "shard smoke OK" in out
@@ -256,7 +258,8 @@ def test_sanitize_cli_demo_nondet_diverges(capsys):
     assert "DIVERGED" in capsys.readouterr().out
 
 
-def test_verbs_smoke_passes_and_reports(capsys):
+def test_verbs_smoke_passes_and_reports(capsys, monkeypatch, gate_verdict):
+    monkeypatch.setattr("repro.faults.gates.run_gate", gate_verdict)
     assert main(["smoke", "verbs"]) == 0
     out = capsys.readouterr().out
     assert "verbs smoke OK" in out
@@ -276,7 +279,9 @@ def test_verbs_json_blob_carries_both_transports(capsys):
             < blob["two_hop"]["read_latency_mean_us"])
 
 
-def test_tenants_smoke_passes_and_reports(capsys):
+def test_tenants_smoke_passes_and_reports(capsys, monkeypatch,
+                                          gate_verdict):
+    monkeypatch.setattr("repro.faults.gates.run_gate", gate_verdict)
     assert main(["smoke", "tenants"]) == 0
     out = capsys.readouterr().out
     assert "tenants smoke OK" in out
